@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CertificateError, DimensionError, ValidationError
 from .tensorops import (NORM_GUARD, as_image, as_kernel, clip_norm,
-                        conv_operator_norm, scaled_conv)
+                        conv2d_circular, conv_operator_norm)
 from .wavelets import FAMILY_CYCLE, WaveletFamily, dwt2, get_family, idwt2, soft_threshold_hf
 
 ALPHA_MIN = 1e-3
@@ -117,6 +117,20 @@ class NetworkParams:
         return len(self.layers)
 
 
+def _state_and_observation(x, y):
+    x = as_image(x)
+    y = as_image(y)
+    if x.shape[-3:] != y.shape[-3:]:
+        raise DimensionError(f"state {x.shape} and observation {y.shape} differ")
+    return x, y
+
+
+def _shrunk_blend(x, y, p):
+    # wavelet coefficients of the blend, detail subbands soft-thresholded
+    z = (1.0 - p.alpha) * x + p.alpha * y
+    return soft_threshold_hf(dwt2(z, p.family), p.thresholds())
+
+
 def prox_wavelet_layer(x, y, p):
     """Gradient step toward ``y`` followed by the prox of the wavelet penalty.
 
@@ -125,27 +139,39 @@ def prox_wavelet_layer(x, y, p):
     ``(1 - alpha)``-Lipschitz in ``x``; with ``alpha = 1`` it is the exact
     proximal map of the penalty at ``y``.
     """
-    x = as_image(x)
-    y = as_image(y)
-    if x.shape[-3:] != y.shape[-3:]:
-        raise DimensionError(f"state {x.shape} and observation {y.shape} differ")
-    z = (1.0 - p.alpha) * x + p.alpha * y
-    coeffs = dwt2(z, p.family)
-    shrunk = soft_threshold_hf(coeffs, p.thresholds())
-    return idwt2(shrunk, p.family)
+    x, y = _state_and_observation(x, y)
+    return idwt2(_shrunk_blend(x, y, p), p.family)
+
+
+def layer_forward(x, y, p, eps, s):
+    """One layer with the kernel normalized by ``s``, and its backward tape.
+
+    Returns ``(out, (shrunk, u, vraw))``: ``shrunk`` holds the
+    soft-thresholded wavelet coefficients of the blend, ``u`` their
+    synthesis, ``vraw`` the unnormalized convolution of ``u``, and
+    ``out = vraw / (s + NORM_GUARD) / ((1 - alpha) + eps)``. Inference
+    discards the tape; training keeps it for backpropagation. Inputs are
+    not validated here.
+    """
+    shrunk = _shrunk_blend(x, y, p)
+    u = idwt2(shrunk, p.family)
+    vraw = conv2d_circular(u, p.kernel)
+    return (vraw / (s + NORM_GUARD)) / ((1.0 - p.alpha) + eps), (shrunk, u, vraw)
 
 
 def contractive_layer(x, y, p, eps, precomputed_norm=None):
     """One full layer: prox-wavelet block, normalized conv, and the 1/((1-a)+eps) gain.
 
     The map ``x -> output`` at fixed ``y`` has Lipschitz constant at most
-    ``(1 - alpha) / ((1 - alpha) + eps) < 1``.
+    ``(1 - alpha) / ((1 - alpha) + eps) < 1``. The kernel's norm on the grid
+    of ``x`` is computed unless ``precomputed_norm`` supplies it.
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
-    u = prox_wavelet_layer(x, y, p)
-    v = scaled_conv(u, p.kernel, NORM_GUARD, precomputed_norm=precomputed_norm)
-    return v / ((1.0 - p.alpha) + eps)
+    x, y = _state_and_observation(x, y)
+    s = p.conv_norm(*x.shape[-2:]) if precomputed_norm is None \
+        else float(precomputed_norm)
+    return layer_forward(x, y, p, eps, s)[0]
 
 
 def network_forward(y, net, x0=None):
@@ -170,7 +196,8 @@ def network_forward(y, net, x0=None):
                 f"x0 shape {x.shape} must match observation shape {y.shape}")
     for layer in net.layers:
         s = layer.conv_norm(net.patch, net.patch)
-        x = contractive_layer(x, y, layer, net.eps, precomputed_norm=s)
+        # indexing drops the tape before the next layer runs
+        x = layer_forward(x, y, layer, net.eps, s)[0]
     return x
 
 

@@ -5,9 +5,13 @@ applied per channel and ``S`` decimation by an integer stride (stride 1 means
 deblurring). PnP-FBS iterates ``x <- D(x - alpha * grad f(x))`` for a
 denoiser ``D``; when ``D`` is contractive with constant ``L_D`` and
 ``L_D * ||I - alpha A^T A|| < 1`` the iteration is a contraction, so the
-residuals decay geometrically to a unique fixed point. PnP-DRS swaps the
-denoiser into Douglas-Rachford splitting, with the quadratic prox solved
-exactly in the Fourier domain (stride 1) or by conjugate gradient.
+residuals decay geometrically to a unique fixed point.
+:func:`composite_contraction_bound` evaluates that product exactly, in closed
+form over the frequencies of the decimated grid. For stride > 1 the norm is
+never below 1 (decimation leaves ``A^T A`` a null space), so a certified
+superresolution solve needs ``L_D < 1``. PnP-DRS swaps the denoiser into
+Douglas-Rachford splitting, with the quadratic prox solved exactly in the
+Fourier domain (stride 1) or by conjugate gradient.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +20,8 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError, SolverError, ValidationError
 from .io import Rng, add_awgn
-from .tensorops import as_image, conv2d_circular, conv2d_circular_adjoint
+from .tensorops import (as_image, conv2d_circular, conv2d_circular_adjoint,
+                        freq_response)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 500
@@ -169,8 +174,7 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
 def _prox_datafit_fft(z, y, model, weight):
     # solve (I + weight * B^T B) x = z + weight * B^T y per channel via FFT
     h, w = z.shape[-2:]
-    from .tensorops import _padded_kernel_fft
-    bf = _padded_kernel_fft(model.kernel4d(), h, w)[0, 0]
+    bf = freq_response(model.kernel4d(), h, w)[:, :, 0, 0]
     rhs = z + weight * apply_adjoint(y, model, h, w)
     denom = 1.0 + weight * np.abs(bf) ** 2
     return np.fft.ifft2(np.fft.fft2(rhs, axes=(-2, -1)) / denom, axes=(-2, -1)).real
@@ -243,49 +247,30 @@ def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
     return trace
 
 
-def composite_contraction_bound(model, alpha_step, lip_denoiser,
-                                grid_h, grid_w, tol=1e-10):
+def composite_contraction_bound(model, alpha_step, lip_denoiser, grid_h, grid_w):
     """``L_D * ||I - alpha A^T A||`` on the given grid; < 1 certifies PnP-FBS.
 
-    For stride 1 the spectrum of ``A^T A`` is ``|B_hat|^2``, so the norm is
-    exact; for stride > 1 the norm comes from power iteration on the
-    symmetric map to relative tolerance ``tol``.
+    Exact, in closed form. ``A A^T = S B B^T S^T`` is circular on the
+    decimated (H/s) x (W/s) grid, with eigenvalue ``mu(k) = s^-2 *
+    sum |B_hat|^2`` over the ``s^2`` frequencies of the full grid that alias
+    to ``k``. ``A^T A`` shares these nonzero eigenvalues; for ``s > 1`` it
+    also has eigenvalue 0, so ``||I - alpha A^T A||`` is the larger of 1 and
+    ``max_k |1 - alpha mu(k)|``, and the bound is never below ``L_D``.
     """
     if alpha_step < 0:
         raise ValidationError(f"alpha_step must be >= 0, got {alpha_step}")
-    if grid_h % model.stride or grid_w % model.stride:
+    s = model.stride
+    if grid_h % s or grid_w % s:
         raise DimensionError(
-            f"grid {grid_h}x{grid_w} not divisible by stride {model.stride}")
-    if model.stride == 1:
-        from .tensorops import _padded_kernel_fft
-        bf = _padded_kernel_fft(model.kernel4d(), grid_h, grid_w)[0, 0]
-        lam = np.abs(bf) ** 2
-        return lip_denoiser * float(np.max(np.abs(1.0 - alpha_step * lam)))
-
-    def op(v):
-        return v - alpha_step * apply_adjoint(apply_forward(v, model), model,
-                                              grid_h, grid_w)
-
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((1, grid_h, grid_w))
-    v /= np.linalg.norm(v)
-    prev = -1.0
-    stable = 0
-    est = 0.0
-    for _ in range(100_000):
-        w = op(v)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 0.0
-        v = w / est
-        if prev >= 0 and abs(est - prev) <= tol * max(est, 1e-300):
-            stable += 1
-            if stable >= 3:
-                break
-        else:
-            stable = 0
-        prev = est
-    return lip_denoiser * est
+            f"grid {grid_h}x{grid_w} not divisible by stride {s}")
+    bf = freq_response(model.kernel4d(), grid_h, grid_w)[:, :, 0, 0]
+    # the aliases of decimated frequency k are k + (m H/s, n W/s), 0 <= m, n < s
+    aliases = (np.abs(bf) ** 2).reshape(s, grid_h // s, s, grid_w // s)
+    mu = aliases.sum(axis=(0, 2)) / s ** 2
+    norm = float(np.max(np.abs(1.0 - alpha_step * mu)))
+    if s > 1:
+        norm = max(norm, 1.0)
+    return lip_denoiser * norm
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from scipy.special import expit
 from .errors import DimensionError, TrainingFailureError, ValidationError
 from .io import Rng, add_awgn
 from .layers import (LayerParams, NetworkParams, constrain_params,
-                     contraction_certificate, network_forward, softplus)
+                     contraction_certificate, layer_forward, network_forward)
 from .metrics import psnr
-from .tensorops import NORM_GUARD, conv2d_circular, conv2d_circular_adjoint
+from .tensorops import NORM_GUARD, conv2d_circular_adjoint
 from .wavelets import WaveletCoeffs, dwt2, idwt2
 
 
@@ -80,41 +80,23 @@ def _kernel_gradient(u, gv, kshape):
     return corr[:, :, rows[:, None], cols[None, :]]
 
 
-def _forward_collect(net, y, frozen_norms=None):
-    """Forward pass keeping the intermediates backward needs.
+def _conv_norms(net):
+    return [layer.conv_norm(net.patch, net.patch) for layer in net.layers]
 
-    ``frozen_norms`` substitutes the per-layer conv normalizers; the
-    finite-difference checker uses it to differentiate the same
-    frozen-normalizer objective that backward's straight-through rule
-    implements (and that the optimizer therefore follows).
+
+def _forward_collect(net, y, norms):
+    """Forward pass at the given conv norms, keeping what backward needs.
+
+    Returns the prediction and, per layer, its input state followed by the
+    tape of :func:`layer_forward`.
     """
-    y = np.asarray(y, dtype=np.float64)
-    caches = []
     x = y
-    for li, layer in enumerate(net.layers):
-        s = layer.conv_norm(net.patch, net.patch) if frozen_norms is None \
-            else frozen_norms[li]
-        lam = softplus(layer.raw_thresholds)
-        z = (1.0 - layer.alpha) * x + layer.alpha * y
-        coeffs = dwt2(z, layer.family)
-        details = (coeffs.lh, coeffs.hl, coeffs.hh)
-        masks = tuple(np.abs(d) > lam[i] for i, d in enumerate(details))
-        signs = tuple(np.sign(d) for d in details)
-        shrunk = WaveletCoeffs(
-            coeffs.ll,
-            *(sg * np.maximum(np.abs(d) - lam[i], 0.0)
-              for i, (d, sg) in enumerate(zip(details, signs))))
-        u = idwt2(shrunk, layer.family)
-        vraw = conv2d_circular(u, layer.kernel)
-        denom = (1.0 - layer.alpha) + net.eps
-        # same operation order as contractive_layer, for bitwise agreement
-        out = (vraw / (s + NORM_GUARD)) / denom
-        caches.append({
-            "x_in": x, "lam": lam, "masks": masks, "signs": signs,
-            "u": u, "vraw": vraw, "s": s, "denom": denom,
-        })
+    tapes = []
+    for layer, s in zip(net.layers, norms):
+        out, tape = layer_forward(x, y, layer, net.eps, s)
+        tapes.append((x, *tape))
         x = out
-    return x, caches
+    return x, tapes
 
 
 def backward(net, y, target):
@@ -129,7 +111,8 @@ def backward(net, y, target):
         target = target[None]
     if y.shape != target.shape:
         raise DimensionError(f"shapes differ: {y.shape} vs {target.shape}")
-    pred, caches = _forward_collect(net, y)
+    norms = _conv_norms(net)
+    pred, tapes = _forward_collect(net, y, norms)
     if not np.all(np.isfinite(pred)):
         raise TrainingFailureError("non-finite prediction in forward pass")
     loss = loss_mse(pred, target)
@@ -138,25 +121,27 @@ def backward(net, y, target):
     grads = GradientSet([None] * net.depth, [None] * net.depth, [None] * net.depth)
     for idx in range(net.depth - 1, -1, -1):
         layer = net.layers[idx]
-        cache = caches[idx]
-        s, denom = cache["s"], cache["denom"]
+        x_in, shrunk, u, vraw = tapes[idx]
+        s = norms[idx]
+        denom = (1.0 - layer.alpha) + net.eps
         scale = 1.0 / ((s + NORM_GUARD) * denom)
         # out = vraw * scale; alpha enters through denom
-        alpha_grad = float(np.sum(g * cache["vraw"]) / (s + NORM_GUARD) / denom ** 2)
+        alpha_grad = float(np.sum(g * vraw) / (s + NORM_GUARD) / denom ** 2)
         gv = g * scale
-        kernel_grad = _kernel_gradient(cache["u"], gv, layer.kernel.shape)
+        kernel_grad = _kernel_gradient(u, gv, layer.kernel.shape)
         gu = conv2d_circular_adjoint(gv, layer.kernel)
         gc = dwt2(gu, layer.family)
         lam_grad = np.empty_like(layer.raw_thresholds)
         detail_grads = []
-        for i, band in enumerate((gc.lh, gc.hl, gc.hh)):
-            mask = cache["masks"][i]
-            active = band * mask
-            lam_grad[i] = -np.sum(cache["signs"][i] * active, axis=0)
+        for i, (band, kept) in enumerate(zip((gc.lh, gc.hl, gc.hh),
+                                             (shrunk.lh, shrunk.hl, shrunk.hh))):
+            # kept = sign(z) * max(|z| - lambda, 0) is nonzero exactly where
+            # |z| > lambda; there d kept/dz = 1 and d kept/d lambda = -sign(kept)
+            active = band * (kept != 0)
+            lam_grad[i] = -np.sum(np.sign(kept) * active, axis=0)
             detail_grads.append(active)
         raw_grad = lam_grad * expit(layer.raw_thresholds)
         gz = idwt2(WaveletCoeffs(gc.ll, *detail_grads), layer.family)
-        x_in = cache["x_in"]
         alpha_grad += float(np.sum(gz * (y - x_in)))
         g = (1.0 - layer.alpha) * gz
         grads.alpha[idx] = alpha_grad
@@ -167,14 +152,15 @@ def backward(net, y, target):
     return loss, grads
 
 
-def _loss_only(net, y, target, frozen_norms=None):
-    pred, _ = _forward_collect(net, y, frozen_norms)
+def _loss_only(net, y, target, norms):
+    pred, _ = _forward_collect(net, y, norms)
     return loss_mse(pred, target)
 
 
 def _collect_masks(net, y):
-    _, caches = _forward_collect(net, y)
-    return [cache["masks"] for cache in caches]
+    _, tapes = _forward_collect(net, y, _conv_norms(net))
+    return [tuple(band != 0 for band in (shrunk.lh, shrunk.hl, shrunk.hh))
+            for _, shrunk, _, _ in tapes]
 
 
 def _perturbed_net(net, layer_idx, kind, coord, delta):
@@ -207,13 +193,16 @@ def grad_check(net, y, target, step=1e-6, tol=1e-4, max_coords=500, seed=0):
 
     Coordinates whose threshold activation pattern differs between the two
     perturbed evaluations sit next to a soft-threshold kink where central
-    differences are invalid; they are skipped and counted.
+    differences are invalid; they are skipped and counted. The perturbed
+    losses keep the unperturbed conv norms, so they differentiate the same
+    frozen-normalizer objective that backward's straight-through rule
+    implements.
     """
     if y.ndim == 3:
         y = y[None]
         target = target[None]
     _, grads = backward(net, y, target)
-    base_norms = [l.conv_norm(net.patch, net.patch) for l in net.layers]
+    base_norms = _conv_norms(net)
     rng = np.random.default_rng(seed)
     coords = []
     for li, layer in enumerate(net.layers):

@@ -85,10 +85,6 @@ class WaveletCoeffs:
     hl: np.ndarray
     hh: np.ndarray
 
-    def details(self):
-        """Detail subbands stacked in (lh, hl, hh) order along a new axis -4."""
-        return np.stack([self.lh, self.hl, self.hh], axis=-4)
-
     def norm(self):
         return float(np.sqrt(
             np.sum(self.ll ** 2) + np.sum(self.lh ** 2)

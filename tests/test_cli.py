@@ -170,9 +170,24 @@ def test_restore_sr_doubles_dimensions(tmp_path, capsys):
     code, _, _ = run(["restore", "--in", str(src), "--out", str(dst),
                       "--task", "sr", "--stride-sr", "2", "--blur",
                       "gauss:3:1.0", "--alpha-step", "0.8", "--identity",
-                      "--iters", "50"], capsys)
+                      "--iters", "50", "--allow-expansive"], capsys)
     assert code == 0
     assert read_image(dst).shape == (1, 16, 16)
+
+
+def test_restore_sr_identity_is_not_certified(tmp_path, capsys):
+    # decimation gives A^T A a null space, so ||I - alpha A^T A|| >= 1 and an
+    # L_D = 1 denoiser cannot certify superresolution
+    src = tmp_path / "lr.raw"
+    write_image(src, np.random.default_rng(4).random((1, 8, 8)))
+    code, _, err = run(["restore", "--in", str(src), "--out",
+                        str(tmp_path / "hr.raw"), "--task", "sr",
+                        "--stride-sr", "2", "--blur", "gauss:3:1.0",
+                        "--alpha-step", "0.8", "--identity", "--iters", "50"],
+                       capsys)
+    assert code == 6
+    assert kv(err)["composite_bound"] == "1.0"
+    assert not (tmp_path / "hr.raw").exists()
 
 
 def test_restore_divergence_exits_5(tmp_path, capsys):

@@ -260,6 +260,29 @@ def test_composite_bound_power_iteration_matches_fft_path():
     assert got == pytest.approx(want, abs=1e-8)
 
 
+@pytest.mark.parametrize("spec,stride,alpha,h,w", [
+    ("gauss:3:1.0", 2, 0.7, 8, 8),
+    ("gauss:5:1.2", 2, 1.0, 8, 12),
+    ("box:3", 3, 0.9, 9, 12),
+    ("disk:1", 1, 0.8, 6, 10),
+    # a step this long makes |1 - alpha mu| > 1 the largest eigenvalue
+    ("delta", 1, 2.5, 6, 10),
+    ("sparse:3:0.3:2", 2, 9.0, 8, 12),
+    ("aniso:5:1:2:30", 3, 14.0, 12, 9),
+])
+def test_composite_bound_is_the_exact_dense_norm(spec, stride, alpha, h, w):
+    m = ForwardModel(parse_blur_spec(spec), stride=stride)
+    got = composite_contraction_bound(m, alpha, 1.0, h, w)
+    n = h * w
+    a_mat = apply_forward(np.eye(n).reshape(n, 1, h, w), m).reshape(n, -1).T
+    want = float(np.max(np.abs(np.linalg.eigvalsh(
+        np.eye(n) - alpha * (a_mat.T @ a_mat)))))
+    assert got >= want - 1e-12 * want
+    assert abs(got - want) <= 1e-12 * want
+    if stride > 1:
+        assert got >= 1.0
+
+
 def test_simulate_applies_noise_deterministically():
     x = np.random.default_rng(16).random((1, 8, 8))
     m = ForwardModel(gaussian_blur(3, 1.0), stride=2, noise_sigma=0.1)

@@ -22,6 +22,17 @@ def test_loss_mse_basics():
         loss_mse(np.zeros((1, 4, 4)), np.zeros((1, 4, 5)))
 
 
+def test_backward_loss_is_the_inference_loss_bitwise():
+    # training and inference share one layer forward, so the loss backward
+    # reports is exactly the loss of network_forward's output
+    net = init_network(depth=3, patch=8, channels=3, seed=4)
+    rng = np.random.default_rng(5)
+    target = rng.random((2, 3, 8, 8))
+    y = target + 0.1 * rng.standard_normal(target.shape)
+    loss, _ = backward(net, y, target)
+    assert loss == loss_mse(network_forward(y, net), target)
+
+
 def test_backward_zero_residual_gives_zero_grads():
     net = init_network(depth=2, patch=8, channels=1, seed=0)
     y = np.random.default_rng(1).random((1, 1, 8, 8))
