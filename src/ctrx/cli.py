@@ -121,38 +121,29 @@ def _run_solver(args):
     return trace, 0
 
 
-def cmd_restore(args):
+def _solve_and_trace(args):
+    """Run the solver and write the trace CSV when asked; (trace, exit code)."""
     try:
         trace, code = _run_solver(args)
     except DivergenceError as err:
-        if args.trace and err.trace is not None:
-            trace_to_csv(err.trace, args.trace)
-            _emit("trace_path", args.trace)
+        trace, code = err.trace, EXIT_DIVERGED
         print(f"divergence: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    if code:
-        return code
-    if args.trace:
+    if args.trace and trace is not None:
         trace_to_csv(trace, args.trace)
         _emit("trace_path", args.trace)
+    return trace, code
+
+
+def cmd_restore(args):
+    trace, code = _solve_and_trace(args)
+    if code:
+        return code
     cio.write_image(args.outfile, trace.final)
     return 0
 
 
 def cmd_trace(args):
-    try:
-        trace, code = _run_solver(args)
-    except DivergenceError as err:
-        if err.trace is not None:
-            trace_to_csv(err.trace, args.trace)
-            _emit("trace_path", args.trace)
-        print(f"divergence: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    if code:
-        return code
-    trace_to_csv(trace, args.trace)
-    _emit("trace_path", args.trace)
-    return 0
+    return _solve_and_trace(args)[1]
 
 
 def cmd_certify(args):

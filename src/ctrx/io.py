@@ -8,6 +8,7 @@ platform for a given seed.
 """
 
 import json
+import os
 import struct
 import zlib
 
@@ -25,6 +26,14 @@ WEIGHTS_VERSION = 1
 _SM_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def open_new(path, mode="wb", **kwargs):
+    """``open`` for writing that replaces a regular file instead of truncating
+    it: ext4 flushes a truncated file on close, tens of ms swinging with disk load."""
+    if os.path.isfile(path) and not os.path.islink(path):
+        os.unlink(path)
+    return open(path, mode, **kwargs)
 
 
 class Rng:
@@ -134,26 +143,23 @@ def write_image(path, x, maxval=255):
     if x.ndim != 3:
         raise DimensionError(f"write_image expects (C, H, W), got {x.shape}")
     path = str(path)
+    c, h, w = x.shape
     if path.endswith(".pgm") or path.endswith(".ppm"):
         want = 1 if path.endswith(".pgm") else 3
-        if x.shape[0] != want:
+        if c != want:
             raise DimensionError(
-                f"{path[-4:]} needs {want} channel(s), image has {x.shape[0]}")
+                f"{path[-4:]} needs {want} channel(s), image has {c}")
         if maxval not in (255, 65535):
             raise ValidationError(f"maxval must be 255 or 65535, got {maxval}")
-        magic = b"P5" if want == 1 else b"P6"
         q = np.rint(np.clip(x, 0.0, 1.0) * maxval)
         q = q.astype(np.uint8 if maxval == 255 else ">u2")
+        header = (b"P5" if want == 1 else b"P6") + b"\n%d %d\n%d\n" % (w, h, maxval)
         payload = q.transpose(1, 2, 0).tobytes()
-        c, h, w = x.shape
-        with open(path, "wb") as f:
-            f.write(magic + b"\n%d %d\n%d\n" % (w, h, maxval))
-            f.write(payload)
     else:
-        c, h, w = x.shape
-        with open(path, "wb") as f:
-            f.write(RAW_MAGIC + struct.pack("<III", c, h, w))
-            f.write(x.astype("<f8").tobytes())
+        header = RAW_MAGIC + struct.pack("<III", c, h, w)
+        payload = x.astype("<f8").tobytes()
+    with open_new(path) as f:
+        f.writelines((header, payload))
 
 
 def _parse_pnm(data):
@@ -241,7 +247,7 @@ def save_weights(path, net):
         buf += _block(layer.raw_thresholds)
         buf += _block(layer.kernel)
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    with open(path, "wb") as f:
+    with open_new(path) as f:
         f.write(bytes(buf))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, SolverError, ValidationError
-from .io import Rng, add_awgn
+from .io import Rng, add_awgn, open_new
 from .tensorops import (as_image, conv2d_circular, conv2d_circular_adjoint,
                         freq_response)
 
@@ -113,7 +113,7 @@ class PnPTrace:
 
 def trace_to_csv(trace, path):
     """Write iter,residual,datafit,psnr rows with round-trip float precision."""
-    with open(path, "w", newline="\n") as f:
+    with open_new(path, "w", newline="\n") as f:
         f.write("iter,residual,datafit,psnr\n")
         for i, (r, d, p) in enumerate(
                 zip(trace.residuals, trace.datafits, trace.psnrs), start=1):

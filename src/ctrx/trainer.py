@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DimensionError, TrainingFailureError, ValidationError
-from .io import Rng, add_awgn
+from .io import Rng, add_awgn, open_new
 from .layers import (LayerParams, NetworkParams, constrain_params,
                      contraction_certificate, layer_forward, network_forward)
 from .metrics import psnr
@@ -314,7 +314,7 @@ class EpochStats:
 
 
 def curve_to_csv(curve, path):
-    with open(path, "w", newline="\n") as f:
+    with open_new(path, "w", newline="\n") as f:
         f.write("epoch,train_loss,val_psnr,certificate_bound\n")
         for e in curve:
             f.write(f"{e.epoch},{e.train_loss!r},{e.val_psnr!r},"

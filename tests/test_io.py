@@ -115,6 +115,23 @@ def test_raw_roundtrip_bitwise(tmp_path):
     np.testing.assert_array_equal(read_image(p), x)
 
 
+def test_overwrite_writes_a_new_file_and_follows_symlinks(tmp_path):
+    rng = np.random.default_rng(11)
+    old, new, newer = (rng.standard_normal((1, 4, 5)) for _ in range(3))
+    p = tmp_path / "img.raw"
+    write_image(p, old)
+    (tmp_path / "hard.raw").hardlink_to(p)
+    write_image(p, new)
+    # a new file replaces the old one, so its other link keeps the old data
+    np.testing.assert_array_equal(read_image(tmp_path / "hard.raw"), old)
+    np.testing.assert_array_equal(read_image(p), new)
+    link = tmp_path / "link.raw"
+    link.symlink_to(p)
+    write_image(link, newer)
+    assert link.is_symlink()
+    np.testing.assert_array_equal(read_image(p), newer)
+
+
 def test_pgm_quantized_roundtrip(tmp_path):
     x = (np.arange(256, dtype=np.float64) / 255.0).reshape(1, 16, 16)
     p = tmp_path / "img.pgm"
