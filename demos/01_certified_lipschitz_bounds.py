@@ -36,7 +36,7 @@ print(f"worst-case input achieves gain {gain:.10f} (norm {sigma:.10f})")
 
 print("\n== per-layer network certificate ==")
 net = init_network(depth=6, patch=32, channels=1, seed=1)
-cert = contraction_certificate(net, 32, 32)
+cert = contraction_certificate(net)
 for i, lb in enumerate(cert.per_layer, start=1):
     print(f"layer {i}: conv norm {lb.conv_norm:.4f}  budget {lb.conv_budget:.4f}"
           f"  state bound {lb.layer_bound:.6f}")

@@ -40,7 +40,7 @@ denoised = network_forward(noisy, trained)
 print(f"\nheld-out: noisy {psnr(noisy, heldout):.2f} dB -> "
       f"denoised {psnr(denoised, heldout):.2f} dB")
 
-cert = contraction_certificate(trained, 32, 32)
+cert = contraction_certificate(trained)
 print(f"final certificate: total bound {cert.total_bound:.6f} < 1")
 
 weights = out_dir / "toy.ctrx"
@@ -48,4 +48,4 @@ save_weights(weights, trained)
 curve_to_csv(curve, out_dir / "curve.csv")
 print(f"\nweights -> {weights}")
 print(f"curve   -> {out_dir / 'curve.csv'}")
-print(f"try: ctrx certify --weights {weights} --grid 32x32")
+print(f"try: ctrx certify --weights {weights}")

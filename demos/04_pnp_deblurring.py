@@ -32,7 +32,7 @@ y1 = add_awgn(apply_forward(flat_clean, model), 0.01, Rng(1))
 # alpha < eps makes even the input-output map provably contractive
 net = init_network(depth=3, patch=64, channels=1, seed=2,
                    alpha_range=(0.05, 0.25), eps=0.3)
-lip = contraction_certificate(net, 64, 64).observation_bound
+lip = contraction_certificate(net).observation_bound
 bound = composite_contraction_bound(model, alpha, lip, 64, 64)
 print(f"denoiser bound {lip:.4f}, composite bound {bound:.4f} < 1")
 trace = pnp_fbs(y1, model, lambda z: network_forward(z, net), alpha,

@@ -117,61 +117,27 @@ class NetworkParams:
         return len(self.layers)
 
 
-def _state_and_observation(x, y):
-    x = as_image(x)
-    y = as_image(y)
-    if x.shape[-3:] != y.shape[-3:]:
-        raise DimensionError(f"state {x.shape} and observation {y.shape} differ")
-    return x, y
-
-
-def _shrunk_blend(x, y, p):
-    # wavelet coefficients of the blend, detail subbands soft-thresholded
-    z = (1.0 - p.alpha) * x + p.alpha * y
-    return soft_threshold_hf(dwt2(z, p.family), p.thresholds())
-
-
-def prox_wavelet_layer(x, y, p):
-    """Gradient step toward ``y`` followed by the prox of the wavelet penalty.
-
-    Computes ``idwt2(S(dwt2((1 - alpha) x + alpha y)))`` where ``S``
-    soft-thresholds the detail subbands. At fixed ``y`` this map is
-    ``(1 - alpha)``-Lipschitz in ``x``; with ``alpha = 1`` it is the exact
-    proximal map of the penalty at ``y``.
-    """
-    x, y = _state_and_observation(x, y)
-    return idwt2(_shrunk_blend(x, y, p), p.family)
-
-
 def layer_forward(x, y, p, eps, s):
     """One layer with the kernel normalized by ``s``, and its backward tape.
 
     Returns ``(out, (shrunk, u, vraw))``: ``shrunk`` holds the
     soft-thresholded wavelet coefficients of the blend, ``u`` their
-    synthesis, ``vraw`` the unnormalized convolution of ``u``, and
-    ``out = vraw / (s + NORM_GUARD) / ((1 - alpha) + eps)``. Inference
-    discards the tape; training keeps it for backpropagation. Inputs are
-    not validated here.
+    synthesis (the prox of the wavelet penalty at the blend, so
+    ``(1 - alpha)``-Lipschitz in ``x``), ``vraw`` the unnormalized
+    convolution of ``u``, and ``out = vraw / (s + NORM_GUARD) /
+    ((1 - alpha) + eps)``. With ``s`` the kernel's norm on the grid of
+    ``x``, the map ``x -> out`` at fixed ``y`` is at most
+    ``(1 - alpha) / ((1 - alpha) + eps)``-Lipschitz. Inference discards
+    the tape; training keeps it for backpropagation. Inputs are not
+    validated here.
     """
-    shrunk = _shrunk_blend(x, y, p)
+    # wavelet coefficients of the blend, detail subbands soft-thresholded;
+    # one expression, so the blend is freed before the synthesis
+    shrunk = soft_threshold_hf(dwt2((1.0 - p.alpha) * x + p.alpha * y, p.family),
+                               p.thresholds())
     u = idwt2(shrunk, p.family)
     vraw = conv2d_circular(u, p.kernel)
     return (vraw / (s + NORM_GUARD)) / ((1.0 - p.alpha) + eps), (shrunk, u, vraw)
-
-
-def contractive_layer(x, y, p, eps, precomputed_norm=None):
-    """One full layer: prox-wavelet block, normalized conv, and the 1/((1-a)+eps) gain.
-
-    The map ``x -> output`` at fixed ``y`` has Lipschitz constant at most
-    ``(1 - alpha) / ((1 - alpha) + eps) < 1``. The kernel's norm on the grid
-    of ``x`` is computed unless ``precomputed_norm`` supplies it.
-    """
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    x, y = _state_and_observation(x, y)
-    s = p.conv_norm(*x.shape[-2:]) if precomputed_norm is None \
-        else float(precomputed_norm)
-    return layer_forward(x, y, p, eps, s)[0]
 
 
 def network_forward(y, net, x0=None):
@@ -205,14 +171,14 @@ def network_forward(y, net, x0=None):
 class LayerBound:
     """Exact per-layer certificate entries."""
 
-    conv_norm: float      # s, the kernel's operator norm on the grid
+    conv_norm: float      # s, the kernel's operator norm on the patch grid
     conv_budget: float    # 1 / ((1 - alpha) + eps), the clip target
     layer_bound: float    # Lipschitz bound of the layer's state map
 
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Machine-checked Lipschitz bounds for a network on a fixed grid.
+    """Machine-checked Lipschitz bounds for a network on its P x P patch grid.
 
     ``total_bound`` bounds the state map (same observation injected along both
     trajectories) and is provably < 1. ``observation_bound`` bounds the full
@@ -226,13 +192,17 @@ class ContractionCertificate:
     observation_bound: float
 
 
-def contraction_certificate(net, grid_h, grid_w):
-    """Compute the per-layer and composed contraction bounds on a grid."""
+def contraction_certificate(net):
+    """Per-layer and composed contraction bounds on the network's patch grid.
+
+    Each layer divides by its kernel's norm on the P x P grid, and a circular
+    conv's norm depends on the grid, so that is the one grid certified.
+    """
     per_layer = []
     total = 1.0
     obs = 1.0
     for i, layer in enumerate(net.layers):
-        s = layer.conv_norm(grid_h, grid_w)
+        s = layer.conv_norm(net.patch, net.patch)
         one_minus = 1.0 - layer.alpha
         denom = one_minus + net.eps
         budget = 1.0 / denom

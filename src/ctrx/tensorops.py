@@ -222,20 +222,3 @@ def clip_norm(k, grid_h, grid_w, budget):
         return k
     return k * (budget / (s + NORM_GUARD))
 
-
-def scaled_conv(x, k, eps, precomputed_norm=None):
-    """Convolution normalized by its own operator norm plus ``eps``.
-
-    The resulting linear map has operator norm ``s / (s + eps) < 1``, making
-    it contractive for any kernel. The norm is computed on the grid of ``x``;
-    ``precomputed_norm`` may supply it when the caller already knows it.
-    """
-    if not eps > 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    x = as_image(x)
-    k = as_kernel(k)
-    if precomputed_norm is None:
-        s = conv_operator_norm(k, x.shape[-2], x.shape[-1])
-    else:
-        s = float(precomputed_norm)
-    return conv2d_circular(x, k) / (s + eps)

@@ -152,15 +152,12 @@ def backward(net, y, target):
     return loss, grads
 
 
-def _loss_only(net, y, target, norms):
-    pred, _ = _forward_collect(net, y, norms)
-    return loss_mse(pred, target)
-
-
-def _collect_masks(net, y):
-    _, tapes = _forward_collect(net, y, _conv_norms(net))
-    return [tuple(band != 0 for band in (shrunk.lh, shrunk.hl, shrunk.hh))
-            for _, shrunk, _, _ in tapes]
+def _loss_and_masks(net, y, target, norms):
+    """Loss at the given conv norms and every layer's threshold masks."""
+    pred, tapes = _forward_collect(net, y, norms)
+    masks = [band != 0 for _, shrunk, _, _ in tapes
+             for band in (shrunk.lh, shrunk.hl, shrunk.hh)]
+    return loss_mse(pred, target), masks
 
 
 def _perturbed_net(net, layer_idx, kind, coord, delta):
@@ -193,10 +190,10 @@ def grad_check(net, y, target, step=1e-6, tol=1e-4, max_coords=500, seed=0):
 
     Coordinates whose threshold activation pattern differs between the two
     perturbed evaluations sit next to a soft-threshold kink where central
-    differences are invalid; they are skipped and counted. The perturbed
-    losses keep the unperturbed conv norms, so they differentiate the same
-    frozen-normalizer objective that backward's straight-through rule
-    implements.
+    differences are invalid; they are skipped and counted. Both perturbed
+    evaluations keep the unperturbed conv norms, so they differentiate the
+    same frozen-normalizer objective that backward's straight-through rule
+    implements, and each gives its loss and its masks in one forward pass.
     """
     if y.ndim == 3:
         y = y[None]
@@ -223,17 +220,12 @@ def grad_check(net, y, target, step=1e-6, tol=1e-4, max_coords=500, seed=0):
     for li, kind, coord in coords:
         plus = _perturbed_net(net, li, kind, coord, step)
         minus = _perturbed_net(net, li, kind, coord, -step)
-        masks_p = _collect_masks(plus, y)
-        masks_m = _collect_masks(minus, y)
-        kink = any(
-            not np.array_equal(mp, mm)
-            for lp, lm in zip(masks_p, masks_m)
-            for mp, mm in zip(lp, lm))
-        if kink:
+        loss_p, masks_p = _loss_and_masks(plus, y, target, base_norms)
+        loss_m, masks_m = _loss_and_masks(minus, y, target, base_norms)
+        if not all(map(np.array_equal, masks_p, masks_m)):
             skipped += 1
             continue
-        fd = (_loss_only(plus, y, target, base_norms)
-              - _loss_only(minus, y, target, base_norms)) / (2 * step)
+        fd = (loss_p - loss_m) / (2 * step)
         if kind == "alpha":
             an = grads.alpha[li]
         elif kind == "raw":
@@ -372,7 +364,7 @@ def train(net, dataset, cfg, val_dataset=None):
             net = constrain_params(NetworkParams(
                 new_layers, eps=net.eps, patch=net.patch, channels=net.channels))
         epoch_loss /= steps
-        cert = contraction_certificate(net, net.patch, net.patch)
+        cert = contraction_certificate(net)
         val_psnr = float("nan")
         if val_dataset is not None:
             val = np.asarray(val_dataset, dtype=np.float64)

@@ -148,20 +148,6 @@ def idwt2(c, fam):
     return _synthesize_axis(lo_w, hi_w, fam, -1)
 
 
-def validate_thresholds(thr, channels, patch):
-    """Check a per-coefficient threshold tensor for shape and positivity.
-
-    Layout is (3, C, P/2, P/2) with detail bands ordered (lh, hl, hh).
-    """
-    thr = np.asarray(thr, dtype=np.float64)
-    want = (3, channels, patch // 2, patch // 2)
-    if thr.shape != want:
-        raise DimensionError(f"thresholds must have shape {want}, got {thr.shape}")
-    if not np.all(thr > 0):
-        raise ValidationError("all thresholds must be strictly positive")
-    return thr
-
-
 def soft_threshold_hf(c, thr):
     """Soft-threshold the three detail subbands; the ll band passes through.
 

@@ -15,8 +15,8 @@ from ctrx.inference import patch_denoise, plan_patches
 from ctrx.io import Rng, add_awgn, chroma_subsample, load_weights, read_image, \
     save_weights, write_image
 from ctrx.layers import (LayerParams, NetworkParams, constrain_params,
-                         contraction_certificate, contractive_layer,
-                         init_network, network_forward, softplus_inverse)
+                         contraction_certificate, init_network,
+                         layer_forward, network_forward, softplus_inverse)
 from ctrx.metrics import psnr
 from ctrx.pnp import (ForwardModel, apply_forward, composite_contraction_bound,
                       gaussian_blur, pnp_fbs)
@@ -87,14 +87,14 @@ def test_criterion_03_layer_contraction():
                                seed=2000 + trial,
                                alpha_range=(0.05, 0.95))
             layer = net.layers[0]
-            bound = contraction_certificate(net, patch, patch).per_layer[0].layer_bound
+            bound = contraction_certificate(net).per_layer[0].layer_bound
             assert bound < 1
             y = rng.standard_normal((channels, patch, patch))
             a = rng.standard_normal((1000, channels, patch, patch))
             b = rng.standard_normal((1000, channels, patch, patch))
             s = layer.conv_norm(patch, patch)
-            out_a = contractive_layer(a, y, layer, eps, precomputed_norm=s)
-            out_b = contractive_layer(b, y, layer, eps, precomputed_norm=s)
+            out_a = layer_forward(a, y, layer, eps, s)[0]
+            out_b = layer_forward(b, y, layer, eps, s)[0]
             num = np.linalg.norm((out_a - out_b).reshape(1000, -1), axis=1)
             den = np.linalg.norm((a - b).reshape(1000, -1), axis=1)
             assert np.all(num / den <= bound), \
@@ -104,7 +104,7 @@ def test_criterion_03_layer_contraction():
 def test_criterion_04_network_certificate_soundness():
     with criterion(4, "network certificate soundness (M=30, P=64)", 300.0):
         net = init_network(depth=30, patch=64, channels=1, seed=104)
-        cert = contraction_certificate(net, 64, 64)
+        cert = contraction_certificate(net)
         assert cert.total_bound < 1
         rng = np.random.default_rng(104)
         chunks = []
@@ -127,7 +127,7 @@ def _input_contractive_denoiser(seed, patch=64):
     # the denoiser's full input-output map is provably contractive
     net = init_network(depth=3, patch=patch, channels=1, seed=seed,
                        alpha_range=(0.05, 0.25), eps=0.3)
-    lip = contraction_certificate(net, patch, patch).observation_bound
+    lip = contraction_certificate(net).observation_bound
     assert lip < 1
     return (lambda z: network_forward(z, net)), lip
 

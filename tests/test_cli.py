@@ -223,17 +223,28 @@ def test_certify_prints_layers_and_exits_zero(tmp_path, capsys):
     net = init_network(depth=4, patch=16, channels=1, seed=5)
     wpath = tmp_path / "w.ctrx"
     save_weights(wpath, net)
-    code, out, err = run(["certify", "--weights", str(wpath), "--grid",
-                          "16x16"], capsys)
+    code, out, err = run(["certify", "--weights", str(wpath)], capsys)
     assert code == 0
     lines = out.splitlines()
     assert sum(1 for l in lines if l.startswith("layer=")) == 4
     total = [l for l in lines if l.startswith("total_bound=")]
     assert float(total[0].split("=")[1]) < 1.0
-    # bounds on another grid are also certified
-    code2, out2, _ = run(["certify", "--weights", str(wpath), "--grid",
-                          "8x8"], capsys)
-    assert code2 == 0
+
+
+def test_certify_uses_the_patch_grid_and_takes_no_grid(tmp_path, capsys):
+    # each layer divides by its kernel's norm on the P x P grid, so that is
+    # the norm certify must print, whatever the default image size
+    net = init_network(depth=3, patch=32, channels=3, seed=0)
+    wpath = tmp_path / "w.ctrx"
+    save_weights(wpath, net)
+    code, out, _ = run(["certify", "--weights", str(wpath)], capsys)
+    assert code == 0
+    printed = [kv(line.replace(" ", "\n"))["s"]
+               for line in out.splitlines() if line.startswith("layer=")]
+    assert printed == [repr(layer.conv_norm(32, 32)) for layer in net.layers]
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--weights", str(wpath), "--grid", "8x8"])
+    assert exc.value.code == 2
 
 
 def test_perturb_chroma_noop_on_gray_rgb(tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_patched_input_perturbation_under_observation_bound():
     from ctrx.layers import contraction_certificate
 
     net = init_network(depth=3, patch=16, channels=1, seed=7)
-    obs = contraction_certificate(net, 16, 16).observation_bound
+    obs = contraction_certificate(net).observation_bound
     plan = plan_patches(32, 32, 16, 8, taper=0.5)
     rng = np.random.default_rng(8)
     x = rng.random((1, 32, 32))

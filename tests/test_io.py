@@ -222,5 +222,5 @@ def test_full_scale_weights_load_and_certify(tmp_path):
     p = tmp_path / "full.ctrx"
     save_weights(p, net)
     back = load_weights(p)
-    cert = contraction_certificate(back, 64, 64)
+    cert = contraction_certificate(back)
     assert cert.total_bound < 1

@@ -3,9 +3,8 @@ import pytest
 
 from ctrx.errors import DimensionError, ValidationError
 from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, constrain_params,
-                         contraction_certificate, contractive_layer, init_network,
-                         network_forward, prox_wavelet_layer, softplus,
-                         softplus_inverse)
+                         contraction_certificate, init_network, layer_forward,
+                         network_forward, softplus, softplus_inverse)
 from ctrx.tensorops import NORM_GUARD, conv_operator_norm
 from ctrx.wavelets import dwt2, get_family, idwt2
 
@@ -18,6 +17,15 @@ def make_layer(alpha=0.5, channels=1, patch=8, seed=0, family="haar",
     if kernel is None:
         kernel = rng.standard_normal((channels, channels, 3, 3))
     return LayerParams(alpha, raw, kernel, get_family(family))
+
+
+def prox_block(x, y, p):
+    # the tape's u: the synthesis of the shrunk coefficients of the blend
+    return layer_forward(x, y, p, 1e-3, 1.0)[1][1]
+
+
+def layer_out(x, y, p, eps):
+    return layer_forward(x, y, p, eps, p.conv_norm(*x.shape[-2:]))[0]
 
 
 def pair_ratios(f, shape, n_pairs, seed):
@@ -44,7 +52,7 @@ def test_prox_layer_alpha_near_one_ignores_state():
     y = rng.standard_normal((1, 8, 8))
     x1 = rng.standard_normal((1, 8, 8))
     x2 = rng.standard_normal((1, 8, 8))
-    d = np.linalg.norm(prox_wavelet_layer(x1, y, p) - prox_wavelet_layer(x2, y, p))
+    d = np.linalg.norm(prox_block(x1, y, p) - prox_block(x2, y, p))
     assert d <= ALPHA_MIN * np.linalg.norm(x1 - x2) + 1e-12
 
 
@@ -53,7 +61,7 @@ def test_prox_layer_identity_limit():
     p = LayerParams(0.5, np.full_like(p.raw_thresholds, -60.0), p.kernel, p.family)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, 8, 8))
-    out = prox_wavelet_layer(x, x, p)
+    out = prox_block(x, x, p)
     np.testing.assert_allclose(out, x, atol=1e-10)
 
 
@@ -61,7 +69,7 @@ def test_prox_layer_contraction_sampled():
     p = make_layer(alpha=0.3, seed=3)
     rng = np.random.default_rng(4)
     y = rng.standard_normal((1, 8, 8))
-    ratios = pair_ratios(lambda x: prox_wavelet_layer(x, y, p), (1, 8, 8), 1000, 5)
+    ratios = pair_ratios(lambda x: prox_block(x, y, p), (1, 8, 8), 1000, 5)
     assert np.all(ratios <= (1 - 0.3) + 1e-12)
 
 
@@ -72,7 +80,7 @@ def test_prox_layer_alpha_one_is_exact_prox():
     p = make_layer(alpha=1.0, threshold=0.2, family="db4", seed=6)
     rng = np.random.default_rng(7)
     y = rng.standard_normal((1, 8, 8))
-    out = prox_wavelet_layer(y, y, p)
+    out = prox_block(y, y, p)
 
     wy = dwt2(y, p.family)
     thr = p.thresholds()
@@ -94,46 +102,39 @@ def test_prox_layer_alpha_one_is_exact_prox():
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
-def test_prox_layer_shape_mismatch():
-    p = make_layer()
-    with pytest.raises(DimensionError):
-        prox_wavelet_layer(np.zeros((1, 8, 8)), np.zeros((1, 6, 6)), p)
-
-
-def test_contractive_layer_zero_kernel_outputs_zero():
+def test_layer_forward_zero_kernel_outputs_zero():
     p = make_layer(kernel=np.zeros((1, 1, 3, 3)))
     rng = np.random.default_rng(8)
     x = rng.standard_normal((1, 8, 8))
-    out = contractive_layer(x, x, p, 1e-3)
+    out = layer_out(x, x, p, 1e-3)
     np.testing.assert_array_equal(out, np.zeros_like(x))
 
 
-def test_contractive_layer_deterministic():
+def test_layer_forward_deterministic():
     p = make_layer(seed=9)
     rng = np.random.default_rng(10)
     x = rng.standard_normal((1, 8, 8))
     y = rng.standard_normal((1, 8, 8))
-    np.testing.assert_array_equal(contractive_layer(x, y, p, 1e-3),
-                                  contractive_layer(x, y, p, 1e-3))
+    np.testing.assert_array_equal(layer_out(x, y, p, 1e-3),
+                                  layer_out(x, y, p, 1e-3))
 
 
-def test_contractive_layer_sampled_ratio_below_bound():
+def test_layer_forward_sampled_ratio_below_bound():
     eps = 1e-3
     for seed, alpha in [(11, 0.2), (12, 0.5), (13, 0.9)]:
         p = make_layer(alpha=alpha, seed=seed)
         rng = np.random.default_rng(seed + 100)
         y = rng.standard_normal((1, 8, 8))
         bound = (1 - alpha) / ((1 - alpha) + eps)
-        ratios = pair_ratios(lambda x: contractive_layer(x, y, p, eps),
+        ratios = pair_ratios(lambda x: layer_out(x, y, p, eps),
                              (1, 8, 8), 1000, seed + 200)
         assert np.all(ratios <= bound + 1e-10)
 
 
-def test_contractive_layer_rejects_bad_eps():
+def test_network_params_rejects_bad_eps():
     p = make_layer()
-    x = np.zeros((1, 8, 8))
     with pytest.raises(ValidationError):
-        contractive_layer(x, x, p, 0.0)
+        NetworkParams([p], eps=0.0, patch=8, channels=1)
 
 
 def test_network_forward_single_zero_kernel_layer():
@@ -166,7 +167,7 @@ def test_network_forward_shape_checks():
 
 def test_network_state_perturbation_obeys_certificate():
     net = init_network(depth=6, patch=16, channels=1, seed=3)
-    cert = contraction_certificate(net, 16, 16)
+    cert = contraction_certificate(net)
     assert cert.total_bound < 1
     rng = np.random.default_rng(15)
     y = rng.standard_normal((200, 1, 16, 16))
@@ -182,7 +183,7 @@ def test_certificate_single_layer_formula():
     eps = 1e-3
     layer = make_layer(alpha=0.5, patch=8, seed=16)
     net = NetworkParams([layer], eps=eps, patch=8, channels=1)
-    cert = contraction_certificate(net, 8, 8)
+    cert = contraction_certificate(net)
     s = conv_operator_norm(layer.kernel, 8, 8)
     want = (0.5 / (0.5 + eps)) * (s / (s + NORM_GUARD))
     assert cert.total_bound == pytest.approx(want, rel=1e-15)
@@ -197,7 +198,7 @@ def test_certificate_product_law():
         for name in ("haar", "db4", "sym4")
     ]
     net = NetworkParams(layers, eps=1e-3, patch=8, channels=1)
-    cert = contraction_certificate(net, 8, 8)
+    cert = contraction_certificate(net)
     b = cert.per_layer[0].layer_bound
     for lb in cert.per_layer:
         assert lb.layer_bound == pytest.approx(b, rel=1e-15)
@@ -207,9 +208,9 @@ def test_certificate_product_law():
 def test_certificate_monotone_in_eps():
     layers_fn = lambda: [make_layer(alpha=0.5, seed=18)]
     small = contraction_certificate(
-        NetworkParams(layers_fn(), eps=1e-4, patch=8, channels=1), 8, 8)
+        NetworkParams(layers_fn(), eps=1e-4, patch=8, channels=1))
     large = contraction_certificate(
-        NetworkParams(layers_fn(), eps=1e-2, patch=8, channels=1), 8, 8)
+        NetworkParams(layers_fn(), eps=1e-2, patch=8, channels=1))
     for lb_small, lb_large in zip(small.per_layer, large.per_layer):
         assert lb_large.layer_bound < lb_small.layer_bound
     assert large.total_bound < small.total_bound
@@ -217,7 +218,7 @@ def test_certificate_monotone_in_eps():
 
 def test_certificate_observation_bound_recursion():
     net = init_network(depth=3, patch=8, channels=1, seed=4)
-    cert = contraction_certificate(net, 8, 8)
+    cert = contraction_certificate(net)
     obs = 1.0
     for layer, lb in zip(net.layers, cert.per_layer):
         conv_factor = min(1.0, lb.conv_norm / (lb.conv_norm + NORM_GUARD))
@@ -263,7 +264,7 @@ def test_network_params_validates_family_cycle():
 
 def test_init_network_is_certified():
     net = init_network(depth=7, patch=16, channels=3, seed=6)
-    cert = contraction_certificate(net, 16, 16)
+    cert = contraction_certificate(net)
     assert cert.total_bound < 1
     for i, layer in enumerate(net.layers):
         assert ALPHA_MIN <= layer.alpha <= 1 - ALPHA_MIN

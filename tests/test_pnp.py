@@ -112,7 +112,7 @@ def _toy_denoiser(seed=0, patch=64):
     # the constant PnP convergence actually needs
     net = init_network(depth=3, patch=patch, channels=1, seed=seed,
                        alpha_range=(0.05, 0.25), eps=0.3)
-    lip = contraction_certificate(net, patch, patch).observation_bound
+    lip = contraction_certificate(net).observation_bound
     assert lip < 1
     return (lambda z: network_forward(z, net)), lip
 

@@ -4,7 +4,7 @@ import pytest
 from ctrx.errors import DimensionError, SizeGuardError, ValidationError
 from ctrx.tensorops import (clip_norm, conv2d_circular, conv2d_circular_adjoint,
                             conv_operator_norm, dense_norm_oracle,
-                            dense_top_singular_vector, freq_response, scaled_conv)
+                            dense_top_singular_vector, freq_response)
 
 
 def identity_kernel(weight=1.0):
@@ -198,35 +198,3 @@ def test_clip_norm_idempotent():
 def test_clip_norm_rejects_bad_budget():
     with pytest.raises(ValidationError):
         clip_norm(identity_kernel(), 4, 4, 0.0)
-
-
-def test_scaled_conv_identity_eps_one_halves():
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal((1, 6, 6))
-    np.testing.assert_allclose(scaled_conv(x, identity_kernel(), 1.0), x / 2.0,
-                               atol=1e-13)
-
-
-def test_scaled_conv_zero_kernel_is_zero():
-    x = np.ones((1, 4, 4))
-    out = scaled_conv(x, np.zeros((1, 1, 3, 3)), 0.5)
-    np.testing.assert_array_equal(out, np.zeros_like(x))
-
-
-def test_scaled_conv_contracts():
-    rng = np.random.default_rng(13)
-    k = rng.standard_normal((2, 2, 3, 3))
-    s = conv_operator_norm(k, 8, 8)
-    bound = s / (s + 0.1)
-    x = rng.standard_normal((100, 2, 8, 8))
-    xp = rng.standard_normal((100, 2, 8, 8))
-    d_out = scaled_conv(x, k, 0.1) - scaled_conv(xp, k, 0.1)
-    d_in = x - xp
-    ratios = (np.linalg.norm(d_out.reshape(100, -1), axis=1)
-              / np.linalg.norm(d_in.reshape(100, -1), axis=1))
-    assert np.all(ratios <= bound + 1e-10)
-
-
-def test_scaled_conv_rejects_nonpositive_eps():
-    with pytest.raises(ValidationError):
-        scaled_conv(np.zeros((1, 4, 4)), identity_kernel(), 0.0)

@@ -130,7 +130,7 @@ def test_train_improves_loss_and_keeps_certificate():
     assert curve[-1].train_loss < curve[0].train_loss
     for stats in curve:
         assert stats.certificate_bound < 1.0
-    cert = contraction_certificate(trained, 16, 16)
+    cert = contraction_certificate(trained)
     assert cert.total_bound < 1.0
     for layer in trained.layers:
         assert 1e-3 <= layer.alpha <= 1 - 1e-3
@@ -141,20 +141,20 @@ def test_train_improves_loss_and_keeps_certificate():
 def test_trained_layers_still_obey_their_bounds():
     # the per-layer contraction guarantee is structural, so it must survive
     # training, not just random initialization
-    from ctrx.layers import contractive_layer
+    from ctrx.layers import layer_forward
 
     net = init_network(depth=3, patch=16, channels=1, seed=20)
     data = synth_patches(48, 16, seed=6)
     trained, _ = train(net, data, TrainConfig(lr=0.05, epochs=6, batch_size=8))
     rng = np.random.default_rng(21)
-    cert = contraction_certificate(trained, 16, 16)
+    cert = contraction_certificate(trained)
     y = rng.standard_normal((1, 16, 16))
     a = rng.standard_normal((500, 1, 16, 16))
     b = rng.standard_normal((500, 1, 16, 16))
     for layer, lb in zip(trained.layers, cert.per_layer):
         s = layer.conv_norm(16, 16)
-        out_a = contractive_layer(a, y, layer, trained.eps, precomputed_norm=s)
-        out_b = contractive_layer(b, y, layer, trained.eps, precomputed_norm=s)
+        out_a = layer_forward(a, y, layer, trained.eps, s)[0]
+        out_b = layer_forward(b, y, layer, trained.eps, s)[0]
         num = np.linalg.norm((out_a - out_b).reshape(500, -1), axis=1)
         den = np.linalg.norm((a - b).reshape(500, -1), axis=1)
         assert lb.layer_bound < 1

@@ -3,7 +3,7 @@ import pytest
 
 from ctrx.errors import DimensionError, ValidationError
 from ctrx.wavelets import (FAMILIES, WaveletCoeffs, dwt2, get_family, idwt2,
-                           soft_threshold_hf, validate_thresholds)
+                           soft_threshold_hf)
 
 ALL_FAMILIES = sorted(FAMILIES)
 
@@ -164,17 +164,6 @@ def test_soft_threshold_nonexpansive_end_to_end():
         den = sum(np.sum((getattr(c1, b) - getattr(c2, b)) ** 2)
                   for b in ("ll", "lh", "hl", "hh"))
         assert num <= den + 1e-12
-
-
-def test_validate_thresholds_shape_and_sign():
-    thr = np.full((3, 2, 8, 8), 0.5)
-    out = validate_thresholds(thr, channels=2, patch=16)
-    assert out.shape == (3, 2, 8, 8)
-    with pytest.raises(DimensionError):
-        validate_thresholds(thr, channels=1, patch=16)
-    thr[0, 0, 0, 0] = -1.0
-    with pytest.raises(ValidationError):
-        validate_thresholds(thr, channels=2, patch=16)
 
 
 def test_batched_transform_matches_loop():
