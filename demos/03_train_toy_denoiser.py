@@ -4,8 +4,8 @@
 Projected SGD with momentum: after every step the step sizes are clipped
 into (0, 1) and each kernel is rescaled to its Lipschitz budget, so the
 contraction certificate holds at every epoch, not only at the end. The
-trained weights and the loss curve are written next to this script's temp
-directory; the weights file can be fed straight to the ctrx CLI.
+trained weights and the loss curve are written to a temporary directory,
+where ``ctrx certify`` checks the weights file, and removed at exit.
 """
 
 import tempfile
@@ -15,10 +15,10 @@ import numpy as np
 
 from ctrx import TrainConfig, contraction_certificate, init_network, \
     network_forward, psnr, train
+from ctrx.cli import main as ctrx_main
 from ctrx.io import Rng, add_awgn, save_weights
 from ctrx.trainer import curve_to_csv, synth_patches
 
-out_dir = Path(tempfile.mkdtemp(prefix="ctrx_demo_"))
 sigma = 25.0 / 255.0
 
 data = synth_patches(200, 32, seed=1)
@@ -43,9 +43,13 @@ print(f"\nheld-out: noisy {psnr(noisy, heldout):.2f} dB -> "
 cert = contraction_certificate(trained)
 print(f"final certificate: total bound {cert.total_bound:.6f} < 1")
 
-weights = out_dir / "toy.ctrx"
-save_weights(weights, trained)
-curve_to_csv(curve, out_dir / "curve.csv")
-print(f"\nweights -> {weights}")
-print(f"curve   -> {out_dir / 'curve.csv'}")
-print(f"try: ctrx certify --weights {weights}")
+with tempfile.TemporaryDirectory(prefix="ctrx_demo_") as tmp:
+    out_dir = Path(tmp)
+    weights = out_dir / "toy.ctrx"
+    save_weights(weights, trained)
+    curve_to_csv(curve, out_dir / "curve.csv")
+    print(f"\nweights -> {weights}")
+    print(f"curve   -> {out_dir / 'curve.csv'}")
+    print(f"\nctrx certify --weights {weights}")
+    if ctrx_main(["certify", "--weights", str(weights)]) != 0:
+        raise SystemExit("ctrx certify rejected the trained weights")

@@ -286,36 +286,30 @@ def load_weights(path):
     if version != WEIGHTS_VERSION:
         raise CorruptWeightsError(f"unsupported weights version {version}")
     (meta_len,) = struct.unpack("<I", r.take(4))
+    # any field of the wrong type, shape or value is a corrupt file, not a
+    # bad argument: the CRC only says the bytes are the ones written
     try:
         header = json.loads(r.take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptWeightsError(f"bad weights header: {exc}") from exc
-    try:
-        depth = header["depth"]
-        patch = header["patch"]
-        channels = header["channels"]
-        eps = header["eps"]
-        kernel_shapes = header["kernel_shapes"]
+        depth, patch, channels = header["depth"], header["patch"], header["channels"]
+        eps, kernel_shapes = header["eps"], header["kernel_shapes"]
         cycle = tuple(header["family_cycle"])
-    except KeyError as exc:
-        raise CorruptWeightsError(f"weights header missing field {exc}") from exc
-    if cycle != FAMILY_CYCLE:
-        raise CorruptWeightsError(f"unsupported family cycle {cycle}")
-    if len(kernel_shapes) != depth:
-        raise CorruptWeightsError("kernel shape list does not match depth")
-    half = patch // 2
-    thr_count = 3 * channels * half * half
-    layers = []
-    for i in range(depth):
-        alpha = r.block(1)[0]
-        raw = r.block(thr_count).reshape(3, channels, half, half)
-        kshape = tuple(kernel_shapes[i])
-        kernel = r.block(int(np.prod(kshape))).reshape(kshape)
-        layers.append(LayerParams(alpha, raw, kernel,
-                                  get_family(FAMILY_CYCLE[i % 3])))
-    if r.pos != len(r.data):
-        raise CorruptWeightsError("trailing bytes after final layer block")
-    try:
+        if cycle != FAMILY_CYCLE:
+            raise CorruptWeightsError(f"unsupported family cycle {cycle}")
+        if len(kernel_shapes) != depth:
+            raise CorruptWeightsError("kernel shape list does not match depth")
+        half = patch // 2
+        thr_count = 3 * channels * half * half
+        layers = []
+        for i in range(depth):
+            alpha = r.block(1)[0]
+            raw = r.block(thr_count).reshape(3, channels, half, half)
+            kshape = tuple(kernel_shapes[i])
+            kernel = r.block(int(np.prod(kshape))).reshape(kshape)
+            layers.append(LayerParams(alpha, raw, kernel,
+                                      get_family(FAMILY_CYCLE[i % 3])))
+        if r.pos != len(r.data):
+            raise CorruptWeightsError("trailing bytes after final layer block")
         return NetworkParams(layers, eps=eps, patch=patch, channels=channels)
-    except (ValidationError, DimensionError) as exc:
-        raise CorruptWeightsError(f"inconsistent weights file: {exc}") from exc
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise CorruptWeightsError(
+            f"malformed weights file: {type(exc).__name__}: {exc}") from exc

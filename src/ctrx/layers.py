@@ -64,6 +64,8 @@ class LayerParams:
             raise DimensionError(
                 f"raw_thresholds must have shape (3, C, P/2, P/2), got "
                 f"{self.raw_thresholds.shape}")
+        if not np.all(np.isfinite(self.raw_thresholds)):
+            raise ValidationError("raw_thresholds contain non-finite values")
         self.kernel = as_kernel(self.kernel)
         if self.kernel.shape[0] != self.kernel.shape[1]:
             raise DimensionError(

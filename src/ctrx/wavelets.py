@@ -1,9 +1,10 @@
 """Single-level orthonormal 2D wavelet transforms with periodic boundary.
 
 Ships Haar, Daubechies-4 (db4, 8 taps) and Symlet-4 (sym4, 8 taps) filter
-banks. Periodization keeps the transform exactly orthogonal on any grid with
-even sides, so analysis satisfies Parseval and synthesis is both the inverse
-and the adjoint.
+banks. Along an axis of even length n the periodized filter bank is one
+orthogonal n x n matrix A (lowpass outputs, then highpass), so analysis is
+``A_H @ x @ A_W.T`` and synthesis, its inverse and adjoint, applies the
+transposes.
 
 Subband naming is (row filter, column filter): ``lh`` is lowpass over rows
 and highpass over columns, ``hl`` the reverse, ``hh`` highpass in both.
@@ -91,31 +92,25 @@ class WaveletCoeffs:
             + np.sum(self.hl ** 2) + np.sum(self.hh ** 2)))
 
 
-def _analyze_axis(x, filt, axis):
-    # a[j] = sum_m filt[m] * x[(2j + m) mod N]
-    acc = filt[0] * x
-    for m in range(1, len(filt)):
-        acc = acc + filt[m] * np.roll(x, -m, axis=axis)
-    slicer = [slice(None)] * x.ndim
-    slicer[axis] = slice(0, None, 2)
-    return acc[tuple(slicer)]
+_MATRICES = {}
 
 
-def _synthesize_axis(lo, hi, fam, axis):
-    # x[n] = sum_j lo[j] h[(n-2j) mod N] + hi[j] g[(n-2j) mod N]
-    shape = list(lo.shape)
-    shape[axis] *= 2
-    up_lo = np.zeros(shape, dtype=np.float64)
-    up_hi = np.zeros(shape, dtype=np.float64)
-    slicer = [slice(None)] * lo.ndim
-    slicer[axis] = slice(0, None, 2)
-    up_lo[tuple(slicer)] = lo
-    up_hi[tuple(slicer)] = hi
-    h, g = fam.lowpass, fam.highpass
-    acc = h[0] * up_lo + g[0] * up_hi
-    for m in range(1, len(h)):
-        acc = acc + h[m] * np.roll(up_lo, m, axis=axis) + g[m] * np.roll(up_hi, m, axis=axis)
-    return acc
+def _analysis_matrix(fam, n):
+    """Orthogonal (n, n) periodized analysis along one axis, cached per taps and n.
+
+    Row j < n/2 is ``a[j] = sum_m h[m] x[(2j + m) mod n]``, row n/2 + j the
+    same with g; taps that wrap onto one column (n < taps) add up.
+    """
+    key = (fam.lowpass.tobytes(), fam.highpass.tobytes(), n)
+    if key not in _MATRICES:
+        j = np.arange(n // 2)[:, None]
+        cols = (2 * j + np.arange(len(fam.lowpass))) % n
+        a = np.zeros((n, n))
+        np.add.at(a, (j, cols), fam.lowpass)
+        np.add.at(a, (j + n // 2, cols), fam.highpass)
+        a.flags.writeable = False
+        _MATRICES[key] = a
+    return _MATRICES[key]
 
 
 def dwt2(x, fam):
@@ -128,14 +123,12 @@ def dwt2(x, fam):
     h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise DimensionError(f"dwt2 needs even spatial dims, got {h}x{w}")
-    lo_w = _analyze_axis(x, fam.lowpass, -1)
-    hi_w = _analyze_axis(x, fam.highpass, -1)
-    return WaveletCoeffs(
-        ll=_analyze_axis(lo_w, fam.lowpass, -2),
-        lh=_analyze_axis(hi_w, fam.lowpass, -2),
-        hl=_analyze_axis(lo_w, fam.highpass, -2),
-        hh=_analyze_axis(hi_w, fam.highpass, -2),
-    )
+    y = _analysis_matrix(fam, h) @ x @ _analysis_matrix(fam, w).T
+    h2, w2 = h // 2, w // 2
+    # ll is copied out: soft_threshold_hf passes it through, and a view would
+    # keep all of y alive until the synthesis is done
+    return WaveletCoeffs(ll=y[..., :h2, :w2].copy(), lh=y[..., :h2, w2:],
+                         hl=y[..., h2:, :w2], hh=y[..., h2:, w2:])
 
 
 def idwt2(c, fam):
@@ -143,9 +136,9 @@ def idwt2(c, fam):
     shapes = {c.ll.shape, c.lh.shape, c.hl.shape, c.hh.shape}
     if len(shapes) != 1:
         raise DimensionError(f"subband shapes disagree: {sorted(shapes)}")
-    lo_w = _synthesize_axis(c.ll, c.hl, fam, -2)
-    hi_w = _synthesize_axis(c.lh, c.hh, fam, -2)
-    return _synthesize_axis(lo_w, hi_w, fam, -1)
+    y = np.block([[c.ll, c.lh], [c.hl, c.hh]])
+    h, w = y.shape[-2:]
+    return _analysis_matrix(fam, h).T @ y @ _analysis_matrix(fam, w)
 
 
 def soft_threshold_hf(c, thr):

@@ -105,6 +105,14 @@ def test_denoise_corrupt_weights_exits_3(tmp_path, capsys):
     assert "CRC" in err or "corrupt" in err.lower()
 
 
+def test_certify_malformed_weights_exits_3(crafted_weights, capsys):
+    # the CRC is valid; the float patch size used to escape as a TypeError
+    code, _, err = run(["certify", "--weights", str(crafted_weights(patch=4.0))],
+                       capsys)
+    assert code == 3
+    assert "malformed weights file" in err
+
+
 def test_denoise_missing_input_exits_4(tmp_path, capsys):
     code, _, _ = run(["denoise", "--in", str(tmp_path / "absent.raw"),
                       "--out", str(tmp_path / "y.raw"), "--identity"], capsys)

@@ -224,3 +224,22 @@ def test_full_scale_weights_load_and_certify(tmp_path):
     back = load_weights(p)
     cert = contraction_certificate(back)
     assert cert.total_bound < 1
+
+
+def test_crafted_weights_file_loads(crafted_weights):
+    net = load_weights(crafted_weights())
+    assert net.depth == 1 and net.patch == 4
+    assert net.layers[0].alpha == 0.5
+
+
+@pytest.mark.parametrize("craft", [
+    pytest.param({"blocks": ([np.nan], np.zeros(12), np.full(9, 0.1))}, id="nan_alpha"),
+    pytest.param({"blocks": ([0.5], np.full(12, np.nan), np.full(9, 0.1))},
+                 id="nan_thresholds"),
+    pytest.param({"kernel_shapes": [[1, 3, 3]]}, id="kernel_shape_3d"),
+    pytest.param({"patch": 4.0}, id="float_patch"),
+    pytest.param({"header": [1, 4, 1]}, id="list_header"),
+])
+def test_malformed_weights_with_valid_crc_are_corrupt(crafted_weights, craft):
+    with pytest.raises(CorruptWeightsError):
+        load_weights(crafted_weights(**craft))

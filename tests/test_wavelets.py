@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ctrx.errors import DimensionError, ValidationError
-from ctrx.wavelets import (FAMILIES, WaveletCoeffs, dwt2, get_family, idwt2,
-                           soft_threshold_hf)
+from ctrx.wavelets import (FAMILIES, WaveletCoeffs, WaveletFamily, dwt2,
+                           get_family, idwt2, soft_threshold_hf)
 
 ALL_FAMILIES = sorted(FAMILIES)
 
@@ -23,6 +23,41 @@ def test_filter_bank_orthonormality(name):
         lo = max(0, 2 * k)
         hi = min(L, L + 2 * k)
         assert abs(np.dot(h[lo - 2 * k: hi - 2 * k], g[lo:hi])) <= 1e-12
+
+
+def loop_analysis(v, filt):
+    """a[j] = sum_m filt[m] v[(2j + m) mod N] for a 1-D signal v."""
+    n = len(v)
+    return np.array([sum(f * v[(2 * j + m) % n] for m, f in enumerate(filt))
+                     for j in range(n // 2)])
+
+
+def loop_dwt2(img, row_filt, col_filt):
+    """``row_filt`` over the rows (down each column), ``col_filt`` over the columns."""
+    over_cols = np.array([loop_analysis(row, col_filt) for row in img])
+    return np.array([loop_analysis(col, row_filt) for col in over_cols.T]).T
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_dwt2_matches_its_definition(name, n):
+    # at n = 4, db4 and sym4 wrap their 8 taps around the rows twice
+    fam = FAMILIES[name]
+    h, g = fam.lowpass, fam.highpass
+    x = np.random.default_rng(n).standard_normal((2, n, 2 * n))
+    coeffs = dwt2(x, fam)
+    for band, (row_filt, col_filt) in {"ll": (h, h), "lh": (h, g),
+                                       "hl": (g, h), "hh": (g, g)}.items():
+        want = np.array([loop_dwt2(img, row_filt, col_filt) for img in x])
+        assert np.max(np.abs(getattr(coeffs, band) - want)) <= 1e-13, band
+
+
+def test_dwt2_follows_the_taps_not_the_name():
+    db4 = FAMILIES["db4"]
+    renamed = WaveletFamily("haar", db4.lowpass, db4.highpass)
+    x = np.random.default_rng(3).standard_normal((1, 8, 8))
+    dwt2(x, FAMILIES["haar"])  # the 8x8 haar matrix is cached first
+    np.testing.assert_array_equal(dwt2(x, renamed).hh, dwt2(x, db4).hh)
 
 
 def test_haar_constant_image():
