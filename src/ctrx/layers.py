@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, DimensionError, ValidationError
-from .tensorops import (NORM_GUARD, as_image, as_kernel, clip_norm,
-                        conv2d_circular, conv_operator_norm)
+from .tensorops import (NORM_GUARD, as_image, as_kernel, conv2d_circular,
+                        conv_operator_norm)
 from .wavelets import FAMILY_CYCLE, WaveletFamily, dwt2, get_family, idwt2, soft_threshold_hf
 
 ALPHA_MIN = 1e-3
@@ -226,17 +226,24 @@ def constrain_params(net):
     """Project parameters back into the certified region.
 
     Alphas are clipped into [1e-3, 1 - 1e-3]; each kernel is rescaled so its
-    operator norm on the training grid stays within ``1 / ((1 - alpha) + eps)``.
-    Thresholds need no projection (softplus keeps them positive). Returns a
-    new NetworkParams; the input is left untouched.
+    operator norm on the training grid stays within ``1 / ((1 - alpha) + eps)``
+    (the rule of :func:`~ctrx.tensorops.clip_norm`). Thresholds need no
+    projection (softplus keeps them positive). A kernel left unchanged keeps
+    its cached norms, so the next forward does not recompute them; a
+    rescaled one starts with an empty cache. Returns a new NetworkParams;
+    the input is left untouched.
     """
     constrained = []
     for layer in net.layers:
         alpha = float(np.clip(layer.alpha, ALPHA_MIN, 1.0 - ALPHA_MIN))
         budget = 1.0 / ((1.0 - alpha) + net.eps)
-        kernel = clip_norm(layer.kernel, net.patch, net.patch, budget)
+        s = layer.conv_norm(net.patch, net.patch)
+        if s <= budget:
+            kernel, cache = layer.kernel, dict(layer._norm_cache)
+        else:
+            kernel, cache = layer.kernel * (budget / (s + NORM_GUARD)), {}
         constrained.append(LayerParams(alpha, layer.raw_thresholds, kernel,
-                                       layer.family))
+                                       layer.family, cache))
     return NetworkParams(constrained, eps=net.eps, patch=net.patch,
                          channels=net.channels)
 

@@ -17,6 +17,7 @@ Fourier domain (stride 1) or by conjugate gradient.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .errors import DimensionError, DivergenceError, SolverError, ValidationError
 from .io import Rng, add_awgn, open_new
@@ -154,7 +155,8 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
     for _ in range(max_iters):
         z = x - alpha_step * grad_datafit(x, y, model)
         x_new = denoiser(z)
-        res = float(np.linalg.norm(x_new - x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.linalg.norm(x_new - x))
         if not np.all(np.isfinite(x_new)) or not np.isfinite(res):
             trace.final = x
             raise DivergenceError(
@@ -172,12 +174,13 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
 
 
 def _prox_datafit_fft(z, y, model, weight):
-    # solve (I + weight * B^T B) x = z + weight * B^T y per channel via FFT
+    # solve (I + weight * B^T B) x = z + weight * B^T y per channel via FFT,
+    # on the real half-spectrum (columns 0 .. W//2)
     h, w = z.shape[-2:]
-    bf = freq_response(model.kernel4d(), h, w)[:, :, 0, 0]
+    bf = freq_response(model.kernel4d(), h, w)[:, :w // 2 + 1, 0, 0]
     rhs = z + weight * apply_adjoint(y, model, h, w)
     denom = 1.0 + weight * np.abs(bf) ** 2
-    return np.fft.ifft2(np.fft.fft2(rhs, axes=(-2, -1)) / denom, axes=(-2, -1)).real
+    return fft.irfft2(fft.rfft2(rhs, axes=(-2, -1)) / denom, s=(h, w), axes=(-2, -1))
 
 
 def _prox_datafit_cg(z, y, model, weight, tol=1e-10, max_iters=2000):
@@ -229,7 +232,8 @@ def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
         x = prox(z, y, model, weight)
         u = denoiser(2.0 * x - z)
         z_new = z + u - x
-        res = float(np.linalg.norm(z_new - z))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.linalg.norm(z_new - z))
         if not np.all(np.isfinite(u)) or not np.isfinite(res):
             trace.final = x
             raise DivergenceError(

@@ -9,9 +9,21 @@ center tap ``(k_h//2, k_w//2)`` sitting at the spatial origin. The padded
 kernel is circularly shifted so that the center tap lands on DFT index
 ``(0, 0)`` before the FFT; this makes spatial convolution and per-frequency
 matrix multiplication agree to machine precision.
+
+Images and kernels are real, so their spectra are conjugate-symmetric:
+``X[-u, -v] = conj(X[u, v])``. Every convolution therefore runs on the real
+half-spectrum, ``scipy.fft.rfft2`` over columns ``0 .. W//2`` and
+``irfft2`` back with the explicit grid size ``s=(H, W)`` (odd widths need
+it). The operator norm is exact on the half-spectrum too: the channel
+matrix at ``-f`` is the complex conjugate of the one at ``f``, and a
+matrix and its conjugate have the same singular values, so the half
+covers every singular value of the full grid (Sedghi, Gupta & Long, "The
+Singular Values of Convolutional Layers", ICLR 2019).
+:func:`freq_response` alone returns the full ``H x W`` grid.
 """
 
 import numpy as np
+from scipy import fft
 
 from .errors import DimensionError, SizeGuardError, ValidationError
 
@@ -47,10 +59,10 @@ def as_kernel(k, name="kernel"):
     return k
 
 
-def _padded_kernel_fft(k, grid_h, grid_w):
-    """FFT of the kernel zero-padded to the grid, center tap at the origin.
+def _padded_kernel(k, grid_h, grid_w):
+    """The kernel zero-padded to the grid, center tap at the origin.
 
-    Returns a complex array of shape (c_out, c_in, H, W).
+    Returns a real array of shape (c_out, c_in, H, W).
     """
     c_out, c_in, k_h, k_w = k.shape
     if grid_h < k_h or grid_w < k_w:
@@ -60,7 +72,12 @@ def _padded_kernel_fft(k, grid_h, grid_w):
     rows = (np.arange(k_h) - k_h // 2) % grid_h
     cols = (np.arange(k_w) - k_w // 2) % grid_w
     pad[:, :, rows[:, None], cols[None, :]] = k
-    return np.fft.fft2(pad, axes=(-2, -1))
+    return pad
+
+
+def _kernel_rfft(k, grid_h, grid_w):
+    """Half-spectrum of the padded kernel: complex (c_out, c_in, H, W//2 + 1)."""
+    return fft.rfft2(_padded_kernel(k, grid_h, grid_w), axes=(-2, -1))
 
 
 def conv2d_circular(x, k):
@@ -80,10 +97,10 @@ def conv2d_circular(x, k):
         raise DimensionError(
             f"input has {x.shape[-3]} channels, kernel expects {k.shape[1]}")
     h, w = x.shape[-2:]
-    kf = _padded_kernel_fft(k, h, w)
-    xf = np.fft.fft2(x, axes=(-2, -1))
+    kf = _kernel_rfft(k, h, w)
+    xf = fft.rfft2(x, axes=(-2, -1))
     yf = np.einsum("oihw,...ihw->...ohw", kf, xf)
-    return np.fft.ifft2(yf, axes=(-2, -1)).real
+    return fft.irfft2(yf, s=(h, w), axes=(-2, -1))
 
 
 def conv2d_circular_adjoint(g, k):
@@ -99,10 +116,10 @@ def conv2d_circular_adjoint(g, k):
         raise DimensionError(
             f"input has {g.shape[-3]} channels, kernel adjoint expects {k.shape[0]}")
     h, w = g.shape[-2:]
-    kf = _padded_kernel_fft(k, h, w)
-    gf = np.fft.fft2(g, axes=(-2, -1))
+    kf = _kernel_rfft(k, h, w)
+    gf = fft.rfft2(g, axes=(-2, -1))
     yf = np.einsum("oihw,...ohw->...ihw", np.conj(kf), gf)
-    return np.fft.ifft2(yf, axes=(-2, -1)).real
+    return fft.irfft2(yf, s=(h, w), axes=(-2, -1))
 
 
 def freq_response(k, grid_h, grid_w):
@@ -119,7 +136,7 @@ def freq_response(k, grid_h, grid_w):
         per-frequency matrix multiplication.
     """
     k = as_kernel(k)
-    kf = _padded_kernel_fft(k, grid_h, grid_w)
+    kf = np.fft.fft2(_padded_kernel(k, grid_h, grid_w), axes=(-2, -1))
     return np.transpose(kf, (2, 3, 0, 1))
 
 
@@ -128,10 +145,12 @@ def conv_operator_norm(k, grid_h, grid_w):
 
     Equals the maximum over the H*W frequencies of the largest singular value
     of the per-frequency channel matrix. Computed by exact SVD of each small
-    matrix, so the result is a certificate, not an estimate.
+    matrix, so the result is a certificate, not an estimate. Only the
+    H*(W//2 + 1) frequencies of the half-spectrum are visited; the others
+    hold conjugate matrices with the same singular values.
     """
     k = as_kernel(k)
-    kf = _padded_kernel_fft(k, grid_h, grid_w)
+    kf = _kernel_rfft(k, grid_h, grid_w)
     c_out, c_in = kf.shape[:2]
     if c_out == 1 and c_in == 1:
         return float(np.abs(kf).max())

@@ -16,6 +16,7 @@ step, so the contraction certificate holds at every point of training.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 from scipy.special import expit
 
 from .errors import DimensionError, TrainingFailureError, ValidationError
@@ -68,12 +69,13 @@ def _kernel_gradient(u, gv, kshape):
     """d loss / d kernel for vraw = conv2d_circular(u, K), batch-summed.
 
     ``u`` is (B, c_in, H, W), ``gv`` the upstream gradient (B, c_out, H, W).
+    The cross-correlation runs on the real half-spectrum.
     """
     h, w = u.shape[-2:]
-    uf = np.fft.fft2(u, axes=(-2, -1))
-    gf = np.fft.fft2(gv, axes=(-2, -1))
-    corr = np.fft.ifft2(np.einsum("bihw,bohw->oihw", np.conj(uf), gf),
-                        axes=(-2, -1)).real
+    uf = fft.rfft2(u, axes=(-2, -1))
+    gf = fft.rfft2(gv, axes=(-2, -1))
+    corr = fft.irfft2(np.einsum("bihw,bohw->oihw", np.conj(uf), gf),
+                      s=(h, w), axes=(-2, -1))
     c_out, c_in, kh, kw = kshape
     rows = (np.arange(kh) - kh // 2) % h
     cols = (np.arange(kw) - kw // 2) % w

@@ -215,6 +215,21 @@ def test_restore_divergence_exits_5(tmp_path, capsys):
     assert tr.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_restore_divergence_exits_5_without_a_warning(tmp_path, capsys):
+    # the divergence case above, with any numpy RuntimeWarning an error
+    y = np.random.default_rng(5).random((1, 16, 16))
+    src = tmp_path / "y.raw"
+    write_image(src, y)
+    code, _, err = run(["restore", "--in", str(src), "--out",
+                        str(tmp_path / "x.raw"), "--task", "deblur",
+                        "--blur", "gauss:3:1.0", "--alpha-step", "50",
+                        "--identity", "--iters", "400",
+                        "--allow-expansive"], capsys)
+    assert code == 5
+    assert "divergence:" in err
+
+
 def test_trace_command_writes_only_csv(tmp_path, capsys):
     y = np.random.default_rng(6).random((1, 16, 16))
     src = tmp_path / "y.raw"

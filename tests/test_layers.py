@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ctrx.layers
 from ctrx.errors import DimensionError, ValidationError
 from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, constrain_params,
                          contraction_certificate, init_network, layer_forward,
@@ -247,6 +248,33 @@ def test_constrain_params_clips_kernel_to_budget():
     budget = 1.0 / (0.5 + 1e-3)
     s = conv_operator_norm(out.layers[0].kernel, 8, 8)
     assert s == pytest.approx(budget, abs=1e-9)
+
+
+def test_constrain_params_carries_only_an_unchanged_kernels_norm(monkeypatch):
+    # a kernel within budget keeps the norm the projection measured; a
+    # rescaled one is measured afresh, so the certificate is the norm of the
+    # kernel that runs
+    calls = []
+
+    def counted(k, h, w):
+        calls.append((h, w))
+        return conv_operator_norm(k, h, w)
+
+    monkeypatch.setattr(ctrx.layers, "conv_operator_norm", counted)
+    k = np.random.default_rng(20).standard_normal((1, 1, 3, 3))
+    k /= conv_operator_norm(k, 8, 8)
+    raw = make_layer().raw_thresholds
+    inside = LayerParams(0.5, raw, 0.5 * k, get_family("haar"))
+    outside = LayerParams(0.5, raw, 3.0 * k, get_family("db4"))
+    net = NetworkParams([inside, outside], eps=1e-3, patch=8, channels=1)
+    kept, rescaled = constrain_params(net).layers
+    assert calls == [(8, 8), (8, 8)]
+    assert kept.kernel is inside.kernel
+    assert kept.conv_norm(8, 8) == conv_operator_norm(inside.kernel, 8, 8)
+    assert len(calls) == 2
+    assert rescaled.conv_norm(8, 8) == conv_operator_norm(rescaled.kernel, 8, 8)
+    assert len(calls) == 3
+    assert rescaled.conv_norm(8, 8) == pytest.approx(1.0 / (0.5 + 1e-3), rel=1e-9)
 
 
 def test_constrain_params_keeps_thresholds():

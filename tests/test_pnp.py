@@ -6,11 +6,12 @@ from ctrx.errors import (DimensionError, DivergenceError, SolverError,
 from ctrx.io import Rng, add_awgn
 from ctrx.layers import contraction_certificate, init_network, network_forward
 from ctrx.metrics import psnr
-from ctrx.pnp import (ForwardModel, anisotropic_gaussian_blur, apply_adjoint,
-                      apply_forward, box_blur, composite_contraction_bound,
-                      datafit, delta_blur, disk_blur, gaussian_blur,
-                      grad_datafit, motion_blur, parse_blur_spec, pnp_drs,
-                      pnp_fbs, simulate, sparse_random_blur, trace_to_csv)
+from ctrx.pnp import (ForwardModel, _prox_datafit_fft, anisotropic_gaussian_blur,
+                      apply_adjoint, apply_forward, box_blur,
+                      composite_contraction_bound, datafit, delta_blur,
+                      disk_blur, gaussian_blur, grad_datafit, motion_blur,
+                      parse_blur_spec, pnp_drs, pnp_fbs, simulate,
+                      sparse_random_blur, trace_to_csv)
 
 
 def test_forward_identity_model():
@@ -168,6 +169,18 @@ def test_fbs_divergence_with_expansive_denoiser():
     assert trace.residuals[-1] >= trace.residuals[10]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("solver", [pnp_fbs, pnp_drs])
+def test_divergence_raises_without_a_runtime_warning(solver):
+    # iterates that overflow end in DivergenceError; the residual of the
+    # overflowing step must not emit a numpy overflow warning first
+    y = np.random.default_rng(5).random((1, 16, 16))
+    m = ForwardModel(gaussian_blur(3, 1.0), stride=1)
+    with pytest.raises(DivergenceError) as err:
+        solver(y, m, lambda z: 50.0 * z, 1.0, max_iters=400)
+    assert err.value.trace.iterations >= 1
+
+
 def test_fbs_fixed_point_residual_at_termination():
     rng = np.random.default_rng(11)
     x_true = rng.random((1, 64, 64))
@@ -217,6 +230,21 @@ def test_drs_residuals_monotone_after_burn_in():
     res = trace.residuals
     for k in range(10, len(res) - 1):
         assert res[k + 1] <= res[k] * 1.001
+
+
+@pytest.mark.parametrize("h, w", [(9, 8), (8, 9), (7, 11)])
+def test_prox_datafit_fft_solves_its_system_on_odd_grids(h, w):
+    # (I + weight B^T B) x = z + weight B^T y, with an asymmetric blur so a
+    # wrong half of the spectrum cannot pass by symmetry
+    rng = np.random.default_rng(h * 16 + w)
+    z = rng.random((2, h, w))
+    y = rng.random((2, h, w))
+    m = ForwardModel(sparse_random_blur(5, 0.3, seed=1), stride=1)
+    weight = 0.7
+    x = _prox_datafit_fft(z, y, m, weight)
+    lhs = x + weight * apply_adjoint(apply_forward(x, m), m, h, w)
+    rhs = z + weight * apply_adjoint(y, m, h, w)
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 def test_drs_cg_path_stride2():

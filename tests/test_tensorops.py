@@ -44,6 +44,58 @@ def test_conv_matches_dense_circulant():
     np.testing.assert_allclose(got, want, atol=1e-13)
 
 
+def conv_reference(x, k):
+    # out[o, n] = sum_{i,a} k[o, i, a] * x[i, n + center - a], looped directly
+    c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    out = np.zeros((c_out, h, w))
+    for o in range(c_out):
+        for i in range(c_in):
+            for a in range(kh):
+                for b in range(kw):
+                    for r in range(h):
+                        for c in range(w):
+                            out[o, r, c] += k[o, i, a, b] * x[
+                                i, (r + kh // 2 - a) % h, (c + kw // 2 - b) % w]
+    return out
+
+
+def conv_adjoint_reference(g, k):
+    # scatter every term of conv_reference back onto the input index it read
+    c_out, h, w = g.shape
+    _, c_in, kh, kw = k.shape
+    out = np.zeros((c_in, h, w))
+    for o in range(c_out):
+        for i in range(c_in):
+            for a in range(kh):
+                for b in range(kw):
+                    for r in range(h):
+                        for c in range(w):
+                            out[i, (r + kh // 2 - a) % h, (c + kw // 2 - b) % w] += (
+                                k[o, i, a, b] * g[o, r, c])
+    return out
+
+
+ODD_AND_NON_SQUARE_GRIDS = [(5, 8), (8, 7), (7, 9), (6, 10)]
+
+
+@pytest.mark.parametrize("h, w", ODD_AND_NON_SQUARE_GRIDS)
+def test_conv_and_adjoint_match_direct_loops_on_odd_grids(h, w):
+    # c_out != c_in and a 3x5 kernel: the half-spectrum path must give back
+    # the full H x W grid whether W is odd or even
+    rng = np.random.default_rng(h * 16 + w)
+    k = rng.standard_normal((3, 2, 3, 5))
+    x = rng.standard_normal((2, h, w))
+    g = rng.standard_normal((3, h, w))
+    got = conv2d_circular(x, k)
+    assert got.shape == (3, h, w)
+    np.testing.assert_allclose(got, conv_reference(x, k), rtol=0, atol=1e-12)
+    got_adj = conv2d_circular_adjoint(g, k)
+    assert got_adj.shape == (2, h, w)
+    np.testing.assert_allclose(got_adj, conv_adjoint_reference(g, k),
+                               rtol=0, atol=1e-12)
+
+
 def test_conv_channel_mismatch_raises():
     x = np.zeros((2, 4, 4))
     k = np.zeros((1, 3, 3, 3))
@@ -135,6 +187,17 @@ def test_operator_norm_exactness_randomized():
         w = int(rng.integers(max(kw, 4), 13))
         k = rng.standard_normal((c_out, c_in, kh, kw))
         assert abs(conv_operator_norm(k, h, w) - dense_norm_oracle(k, h, w)) <= 1e-8
+
+
+@pytest.mark.parametrize("h, w", ODD_AND_NON_SQUARE_GRIDS + [(6, 6), (9, 9)])
+@pytest.mark.parametrize("c_out, c_in", [(1, 1), (3, 2), (3, 3)])
+def test_operator_norm_is_the_max_over_the_full_grid(h, w, c_out, c_in):
+    # the half-spectrum norm must equal the largest singular value over all
+    # H*W frequency matrices, not only over columns 0 .. W//2
+    rng = np.random.default_rng(100 * h + 10 * w + c_out)
+    k = rng.standard_normal((c_out, c_in, 3, 5))
+    full = np.linalg.svd(freq_response(k, h, w), compute_uv=False).max()
+    assert conv_operator_norm(k, h, w) == pytest.approx(full, rel=1e-13, abs=0)
 
 
 def test_norm_tightness_via_top_singular_vector():

@@ -5,9 +5,10 @@ from ctrx.errors import DimensionError, TrainingFailureError, ValidationError
 from ctrx.io import Rng, add_awgn
 from ctrx.layers import contraction_certificate, init_network, network_forward
 from ctrx.metrics import psnr
-from ctrx.trainer import (EpochStats, GradCheckReport, TrainConfig, backward,
-                          curve_to_csv, grad_check, load_patch_dataset,
-                          loss_mse, synth_patches, train)
+from ctrx.tensorops import conv2d_circular
+from ctrx.trainer import (EpochStats, GradCheckReport, TrainConfig,
+                          _kernel_gradient, backward, curve_to_csv, grad_check,
+                          load_patch_dataset, loss_mse, synth_patches, train)
 
 
 def test_loss_mse_basics():
@@ -52,6 +53,23 @@ def test_backward_matches_network_forward_loss():
     target = rng.random((4, 2, 8, 8))
     loss, _ = backward(net, y, target)
     assert loss == pytest.approx(loss_mse(network_forward(y, net), target), rel=1e-12)
+
+
+@pytest.mark.parametrize("h, w", [(5, 8), (8, 7), (7, 9)])
+def test_kernel_gradient_matches_the_conv_on_odd_grids(h, w):
+    # sum(conv2d_circular(u, K) * gv) is linear in K; its gradient, batch
+    # summed, must come back on the full H x W grid for odd widths too
+    rng = np.random.default_rng(h * 16 + w)
+    u = rng.standard_normal((2, 3, h, w))
+    gv = rng.standard_normal((2, 2, h, w))
+    shape = (2, 3, 3, 5)
+    want = np.empty(shape)
+    for idx in np.ndindex(shape):
+        basis = np.zeros(shape)
+        basis[idx] = 1.0
+        want[idx] = np.sum(conv2d_circular(u, basis) * gv)
+    np.testing.assert_allclose(_kernel_gradient(u, gv, shape), want,
+                               rtol=0, atol=1e-12)
 
 
 def test_grad_check_small_net():
