@@ -3,14 +3,16 @@
 
 The operator norm of a circular convolution is the largest singular value of
 its per-frequency channel matrix, computed here by FFT plus exact SVD. The
-demo compares that closed form against a dense-matrix oracle, shows norm
-clipping to a budget, and prints the per-layer certificate of a network.
+demo compares that closed form against a dense-matrix oracle, shows
+``constrain_params`` projecting an over-budget kernel back under its layer's
+gain, and prints the per-layer certificate of a network.
 """
 
 import numpy as np
 
-from ctrx import (clip_norm, conv2d_circular, conv_operator_norm,
-                  contraction_certificate, dense_norm_oracle, init_network)
+from ctrx import (LayerParams, NetworkParams, constrain_params, conv2d_circular,
+                  conv_operator_norm, contraction_certificate, dense_norm_oracle,
+                  get_family, init_network)
 
 rng = np.random.default_rng(0)
 
@@ -22,11 +24,15 @@ for trial in range(5):
     print(f"kernel {trial}: fft+svd {fast:.12f}   dense oracle {slow:.12f}   "
           f"gap {abs(fast - slow):.2e}")
 
-print("\n== norm clipping ==")
+print("\n== projecting a kernel back under its layer's gain ==")
 k = 5.0 * rng.standard_normal((2, 2, 3, 3))
-print(f"norm before clip: {conv_operator_norm(k, 16, 16):.4f}")
-clipped = clip_norm(k, 16, 16, budget=0.8)
-print(f"norm after clip to 0.8: {conv_operator_norm(clipped, 16, 16):.10f}")
+layer = LayerParams(0.5, np.zeros((3, 2, 8, 8)), k, get_family("haar"))
+projected = constrain_params(NetworkParams([layer], eps=1e-3, patch=16, channels=2))
+budget = contraction_certificate(projected).per_layer[0].conv_budget
+print(f"norm before projection: {conv_operator_norm(k, 16, 16):.4f}")
+print(f"budget 1 / ((1 - alpha) + eps) at alpha 0.5, eps 1e-3: {budget:.10f}")
+print(f"norm after projection: "
+      f"{conv_operator_norm(projected.layers[0].kernel, 16, 16):.10f}")
 
 print("\n== the norm is attained: top singular input ==")
 from ctrx.tensorops import dense_top_singular_vector

@@ -9,8 +9,8 @@ from .metrics import metric_report, psnr, ssim
 from .pnp import (ForwardModel, apply_adjoint, apply_forward,
                   composite_contraction_bound, grad_datafit, parse_blur_spec,
                   pnp_drs, pnp_fbs, simulate, trace_to_csv)
-from .tensorops import (clip_norm, conv2d_circular, conv_operator_norm,
-                        dense_norm_oracle, freq_response)
+from .tensorops import (conv2d_circular, conv_operator_norm, dense_norm_oracle,
+                        freq_response)
 from .trainer import TrainConfig, backward, grad_check, loss_mse, synth_patches, train
 from .wavelets import FAMILIES, WaveletCoeffs, dwt2, get_family, idwt2, soft_threshold_hf
 
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ContractionCertificate", "FAMILIES", "ForwardModel", "LayerParams",
     "NetworkParams", "TrainConfig", "WaveletCoeffs", "apply_adjoint",
-    "apply_forward", "backward", "clip_norm",
+    "apply_forward", "backward",
     "composite_contraction_bound", "constrain_params",
     "contraction_certificate", "conv2d_circular", "conv_operator_norm",
     "dense_norm_oracle", "dwt2", "freq_response", "get_family",

@@ -41,15 +41,6 @@ def _seed(args):
     return int(os.environ.get("CTRX_SEED", "0"))
 
 
-def _load_net(args):
-    net = cio.load_weights(args.weights)
-    if args.patch is not None and args.patch != net.patch:
-        raise ValidationError(
-            f"--patch {args.patch} conflicts with the weights' patch size "
-            f"{net.patch}")
-    return net
-
-
 def _denoiser_for(args, channels, height, width):
     """Build the full-image denoiser and report its certificates.
 
@@ -61,7 +52,7 @@ def _denoiser_for(args, channels, height, width):
         return (lambda img: img), 1.0
     if not args.weights:
         raise ValidationError("pass --weights FILE or --identity")
-    net = _load_net(args)
+    net = cio.load_weights(args.weights)
     stride = args.stride if args.stride is not None else net.patch // 2
     taper = args.taper
     plan = plan_patches(height, width, net.patch, stride, taper)
@@ -98,8 +89,6 @@ def _run_solver(args):
     full_h = y.shape[1] * model.stride
     full_w = y.shape[2] * model.stride
     fn, lip = _denoiser_for(args, y.shape[0], full_h, full_w)
-    if args.lip is not None:
-        lip = args.lip
     bound = composite_contraction_bound(model, args.alpha_step, lip,
                                         full_h, full_w)
     _emit("composite_bound", bound)
@@ -241,8 +230,6 @@ def _add_denoiser_flags(p):
     p.add_argument("--weights", help="weights file produced by train")
     p.add_argument("--identity", action="store_true",
                    help="bypass the network (identity denoiser)")
-    p.add_argument("--patch", type=int, default=None,
-                   help="must match the weights' patch size when given")
     p.add_argument("--stride", type=int, default=None,
                    help="patch stride (default: patch/2)")
     p.add_argument("--taper", type=float, default=DEFAULT_TAPER,
@@ -264,9 +251,6 @@ def _add_solver_flags(p):
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--ref", help="clean reference for per-iteration PSNR")
-    p.add_argument("--lip", type=float, default=None,
-                   help="override the denoiser Lipschitz bound used in the "
-                        "composite certificate")
     p.add_argument("--allow-expansive", action="store_true",
                    help="run even when the composite bound is >= 1")
 
@@ -282,7 +266,6 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     _add_denoiser_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("restore", help="PnP deblurring or superresolution")
@@ -292,7 +275,6 @@ def build_parser():
     p.add_argument("--trace", help="write the convergence trace CSV here")
     _add_solver_flags(p)
     _add_denoiser_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_restore)
 
     p = sub.add_parser("trace", help="run a solve and export only the trace CSV")
@@ -300,7 +282,6 @@ def build_parser():
     p.add_argument("--trace", required=True)
     _add_solver_flags(p)
     _add_denoiser_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("certify", help="print per-layer and total contraction "

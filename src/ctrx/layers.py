@@ -119,6 +119,16 @@ class NetworkParams:
         return len(self.layers)
 
 
+def gain_denominator(alpha, eps):
+    """``(1 - alpha) + eps``: each layer scales its normalized conv by the
+    reciprocal, the gain ``1 / ((1 - alpha) + eps)``.
+
+    The one place that rule is written: the forward pass, its backward, the
+    certificate and the kernel projection all divide by this value.
+    """
+    return (1.0 - alpha) + eps
+
+
 def layer_forward(x, y, p, eps, s):
     """One layer with the kernel normalized by ``s``, and its backward tape.
 
@@ -126,12 +136,12 @@ def layer_forward(x, y, p, eps, s):
     soft-thresholded wavelet coefficients of the blend, ``u`` their
     synthesis (the prox of the wavelet penalty at the blend, so
     ``(1 - alpha)``-Lipschitz in ``x``), ``vraw`` the unnormalized
-    convolution of ``u``, and ``out = vraw / (s + NORM_GUARD) /
-    ((1 - alpha) + eps)``. With ``s`` the kernel's norm on the grid of
-    ``x``, the map ``x -> out`` at fixed ``y`` is at most
-    ``(1 - alpha) / ((1 - alpha) + eps)``-Lipschitz. Inference discards
-    the tape; training keeps it for backpropagation. Inputs are not
-    validated here.
+    convolution of ``u``, and ``out = vraw / ((s + NORM_GUARD) *
+    gain_denominator(alpha, eps))``, one scalar factor. With ``s`` the
+    kernel's norm on the grid of ``x``, the map ``x -> out`` at fixed ``y``
+    is at most ``(1 - alpha) / ((1 - alpha) + eps)``-Lipschitz. Inference
+    discards the tape; training keeps it for backpropagation. Inputs are
+    not validated here.
     """
     # wavelet coefficients of the blend, detail subbands soft-thresholded;
     # one expression, so the blend is freed before the synthesis
@@ -139,7 +149,8 @@ def layer_forward(x, y, p, eps, s):
                                p.thresholds())
     u = idwt2(shrunk, p.family)
     vraw = conv2d_circular(u, p.kernel)
-    return (vraw / (s + NORM_GUARD)) / ((1.0 - p.alpha) + eps), (shrunk, u, vraw)
+    scale = 1.0 / ((s + NORM_GUARD) * gain_denominator(p.alpha, eps))
+    return vraw * scale, (shrunk, u, vraw)
 
 
 def network_forward(y, net, x0=None):
@@ -174,7 +185,7 @@ class LayerBound:
     """Exact per-layer certificate entries."""
 
     conv_norm: float      # s, the kernel's operator norm on the patch grid
-    conv_budget: float    # 1 / ((1 - alpha) + eps), the clip target
+    conv_budget: float    # 1 / ((1 - alpha) + eps), the projection's budget
     layer_bound: float    # Lipschitz bound of the layer's state map
 
 
@@ -205,16 +216,14 @@ def contraction_certificate(net):
     obs = 1.0
     for i, layer in enumerate(net.layers):
         s = layer.conv_norm(net.patch, net.patch)
-        one_minus = 1.0 - layer.alpha
-        denom = one_minus + net.eps
-        budget = 1.0 / denom
+        denom = gain_denominator(layer.alpha, net.eps)
         conv_factor = min(1.0, s / (s + NORM_GUARD))
-        bound = (one_minus / denom) * conv_factor
+        bound = ((1.0 - layer.alpha) / denom) * conv_factor
         if not bound < 1.0:
             raise CertificateError(
                 f"layer {i} bound {bound} is not < 1; alpha={layer.alpha}, "
                 f"s={s} -- this indicates a bug, not bad input")
-        per_layer.append(LayerBound(s, budget, bound))
+        per_layer.append(LayerBound(s, 1.0 / denom, bound))
         obs = bound * obs + (conv_factor / denom) * layer.alpha
         total *= bound
     if not total < 1.0:
@@ -225,18 +234,20 @@ def contraction_certificate(net):
 def constrain_params(net):
     """Project parameters back into the certified region.
 
-    Alphas are clipped into [1e-3, 1 - 1e-3]; each kernel is rescaled so its
-    operator norm on the training grid stays within ``1 / ((1 - alpha) + eps)``
-    (the rule of :func:`~ctrx.tensorops.clip_norm`). Thresholds need no
-    projection (softplus keeps them positive). A kernel left unchanged keeps
-    its cached norms, so the next forward does not recompute them; a
-    rescaled one starts with an empty cache. Returns a new NetworkParams;
-    the input is left untouched.
+    Alphas are clipped into [1e-3, 1 - 1e-3]. A kernel whose operator norm
+    on the patch grid exceeds the layer's gain ``1 / ((1 - alpha) + eps)``
+    is rescaled to ``budget / (s + NORM_GUARD)`` times itself, just under
+    that budget; one within it is returned as the same array, so a second
+    projection changes nothing. Thresholds need no projection (softplus
+    keeps them positive). A kernel left unchanged keeps its cached norms,
+    so the next forward does not recompute them; a rescaled one starts
+    with an empty cache. Returns a new NetworkParams; the input is left
+    untouched.
     """
     constrained = []
     for layer in net.layers:
         alpha = float(np.clip(layer.alpha, ALPHA_MIN, 1.0 - ALPHA_MIN))
-        budget = 1.0 / ((1.0 - alpha) + net.eps)
+        budget = 1.0 / gain_denominator(alpha, net.eps)
         s = layer.conv_norm(net.patch, net.patch)
         if s <= budget:
             kernel, cache = layer.kernel, dict(layer._norm_cache)

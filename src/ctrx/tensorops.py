@@ -173,71 +173,22 @@ def _dense_matrix(k, grid_h, grid_w):
     return cols.T  # (c_out*H*W, c_in*H*W)
 
 
-def _power_iteration_top_singular(mat, tol=1e-12, max_iters=300_000):
-    """Largest singular value of ``mat`` by power iteration on ``mat.T @ mat``.
-
-    Returns ``(sigma, v)`` with ``v`` the corresponding unit right-singular
-    vector. Stops when the Rayleigh estimate of sigma^2 is stable to ``tol``
-    relative, three iterations in a row.
-    """
-    gram = mat.T @ mat
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    prev = -1.0
-    stable = 0
-    for _ in range(max_iters):
-        w = gram @ v
-        est = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, v
-        v = w / nw
-        if prev >= 0 and abs(est - prev) <= tol * max(est, np.finfo(float).tiny):
-            stable += 1
-            if stable >= 3:
-                prev = est
-                break
-        else:
-            stable = 0
-        prev = est
-    return float(np.sqrt(max(prev, 0.0))), v
-
-
 def dense_norm_oracle(k, grid_h, grid_w):
     """Operator norm via the explicit dense matrix, independent of the FFT path.
 
-    Builds the full circulant matrix column by column and runs power iteration
-    on its Gram matrix to relative tolerance 1e-10. Guarded to small grids;
+    Builds the full circulant matrix column by column and takes its largest
+    singular value by dense SVD, exact to rounding. Guarded to small grids;
     intended as a test oracle for :func:`conv_operator_norm`.
     """
-    sigma, _ = _power_iteration_top_singular(_dense_matrix(k, grid_h, grid_w))
-    return sigma
+    return float(np.linalg.norm(_dense_matrix(k, grid_h, grid_w), 2))
 
 
 def dense_top_singular_vector(k, grid_h, grid_w):
     """Top right-singular vector of the dense operator, as an image.
 
     Returns ``(sigma, v)`` where ``v`` has shape (c_in, H, W) and unit norm;
-    ``conv2d_circular(v, k)`` attains the operator norm up to the power
-    iteration tolerance.
+    ``conv2d_circular(v, k)`` attains the operator norm ``sigma`` to rounding.
     """
-    mat = _dense_matrix(k, grid_h, grid_w)
-    sigma, v = _power_iteration_top_singular(mat)
-    return sigma, v.reshape(k.shape[1], grid_h, grid_w)
-
-
-def clip_norm(k, grid_h, grid_w, budget):
-    """Rescale the kernel if its operator norm on the grid exceeds ``budget``.
-
-    Returns ``k`` unchanged when already within budget, else
-    ``k * budget / (s + 1e-12)`` where ``s`` is the computed norm.
-    """
-    if not budget > 0:
-        raise ValidationError(f"budget must be positive, got {budget}")
-    k = as_kernel(k)
-    s = conv_operator_norm(k, grid_h, grid_w)
-    if s <= budget:
-        return k
-    return k * (budget / (s + NORM_GUARD))
-
+    _, sv, vt = np.linalg.svd(_dense_matrix(k, grid_h, grid_w),
+                              full_matrices=False)
+    return float(sv[0]), vt[0].reshape(k.shape[1], grid_h, grid_w)

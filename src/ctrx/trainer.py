@@ -5,9 +5,10 @@ target. Linear blocks (wavelet transforms, convolutions, the gradient-step
 blend) backpropagate by their exact adjoints; the soft threshold uses the
 subgradient ``1{|z| > lambda}`` on coefficient paths and ``-sign(z)`` inside
 the active set for the threshold parameters. The convolution normalizer
-``s(K) + eps`` is held constant during differentiation (the projection step
-re-imposes the norm constraint anyway), so gradients are exact up to that
-straight-through choice, which the finite-difference checker accounts for.
+``s(K) + NORM_GUARD`` is held constant during differentiation (the
+projection step re-imposes the norm constraint anyway), so gradients are
+exact up to that straight-through choice, which the finite-difference
+checker accounts for.
 
 Optimization is SGD with momentum plus the constraint projection after every
 step, so the contraction certificate holds at every point of training.
@@ -22,7 +23,8 @@ from scipy.special import expit
 from .errors import DimensionError, TrainingFailureError, ValidationError
 from .io import Rng, add_awgn, open_new
 from .layers import (LayerParams, NetworkParams, constrain_params,
-                     contraction_certificate, layer_forward, network_forward)
+                     contraction_certificate, gain_denominator, layer_forward,
+                     network_forward)
 from .metrics import psnr
 from .tensorops import NORM_GUARD, conv2d_circular_adjoint
 from .wavelets import WaveletCoeffs, dwt2, idwt2
@@ -44,6 +46,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr > 0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if list(self.decay_epochs) != sorted(self.decay_epochs):
             raise ValidationError("decay epochs must be ascending")
 
@@ -125,9 +131,9 @@ def backward(net, y, target):
         layer = net.layers[idx]
         x_in, shrunk, u, vraw = tapes[idx]
         s = norms[idx]
-        denom = (1.0 - layer.alpha) + net.eps
+        denom = gain_denominator(layer.alpha, net.eps)
         scale = 1.0 / ((s + NORM_GUARD) * denom)
-        # out = vraw * scale; alpha enters through denom
+        # out = vraw * scale; alpha enters through denom, d denom/d alpha = -1
         alpha_grad = float(np.sum(g * vraw) / (s + NORM_GUARD) / denom ** 2)
         gv = g * scale
         kernel_grad = _kernel_gradient(u, gv, layer.kernel.shape)
@@ -248,6 +254,8 @@ def grad_check(net, y, target, step=1e-6, tol=1e-4, max_coords=500, seed=0):
 
 def synth_patches(n, patch, channels=1, seed=0):
     """Seeded synthetic clean patches: low-pass textures plus blocks and ramps."""
+    if n < 0:
+        raise ValidationError(f"patch count must be >= 0, got {n}")
     rng = Rng(seed)
     out = np.empty((n, channels, patch, patch))
     coords = np.arange(patch) / patch
@@ -328,6 +336,12 @@ def train(net, dataset, cfg, val_dataset=None):
         raise DimensionError(
             f"dataset must be (N, {net.channels}, {net.patch}, {net.patch}), "
             f"got {dataset.shape}")
+    if dataset.shape[0] == 0:
+        raise ValidationError("the training set is empty")
+    if val_dataset is not None:
+        val = np.asarray(val_dataset, dtype=np.float64)
+        if val.size == 0:
+            raise ValidationError("the validation set is empty")
     rng = Rng(cfg.seed)
     net = constrain_params(net)
     vel_alpha = [0.0] * net.depth
@@ -369,7 +383,6 @@ def train(net, dataset, cfg, val_dataset=None):
         cert = contraction_certificate(net)
         val_psnr = float("nan")
         if val_dataset is not None:
-            val = np.asarray(val_dataset, dtype=np.float64)
             noisy_val = add_awgn(val, cfg.sigma, Rng(cfg.seed + 10_000 + epoch))
             denoised = network_forward(noisy_val, net)
             val_psnr = psnr(denoised, val)

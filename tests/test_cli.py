@@ -361,3 +361,50 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch, toy_weights):
                          capsys)
     assert code1 == code2 == 0
     assert kv(out1) == kv(out2)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--batch", "0"],        # used to raise ZeroDivisionError (exit 1)
+    ["--batch", "-4"],       # used to train and exit 0
+    ["--patches", "1"],      # the validation split left no training patch
+    ["--patches", "0"],      # no patch at all; printed final_val_psnr=nan
+    ["--patches", "-3"],     # used to escape as a ValueError traceback
+    ["--epochs", "-1"],      # used to write untrained weights and exit 0
+], ids=["batch_0", "batch_negative", "patches_1", "patches_0",
+        "patches_negative", "epochs_negative"])
+def test_train_rejects_out_of_range_flags(tmp_path, capsys, flags):
+    wpath = tmp_path / "w.ctrx"
+    code, _, err = run(["train", "--out", str(wpath), "--depth", "1",
+                        "--patch", "16", "--epochs", "1", "--seed", "0",
+                        *flags], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not wpath.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("restore", ["--lip", "0.5"]),
+    ("denoise", ["--patch", "32"]),
+    ("denoise", ["--seed", "3"]),
+    ("restore", ["--seed", "3"]),
+    ("trace", ["--seed", "3"]),
+], ids=["restore_lip", "denoise_patch", "denoise_seed", "restore_seed",
+        "trace_seed"])
+def test_removed_flags_are_rejected(tmp_path, capsys, toy_weights, command, flags):
+    # the certified numbers come from the weights alone: no flag overrides
+    # the denoiser's bound or restates its patch size, and only perturb and
+    # train read a seed
+    wpath, _ = toy_weights
+    src = tmp_path / "x.raw"
+    write_image(src, synth_patches(1, 32, seed=23)[0])
+    argv = {"denoise": ["denoise", "--out", str(tmp_path / "y.raw")],
+            "restore": ["restore", "--out", str(tmp_path / "y.raw"),
+                        "--task", "sr", "--blur", "gauss:9:2.0",
+                        "--alpha-step", "1.0", "--iters", "3"],
+            "trace": ["trace", "--trace", str(tmp_path / "t.csv"),
+                      "--task", "deblur", "--alpha-step", "1.0",
+                      "--iters", "3", "--allow-expansive"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--in", str(src), "--weights", wpath, *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

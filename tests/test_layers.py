@@ -248,6 +248,21 @@ def test_constrain_params_clips_kernel_to_budget():
     budget = 1.0 / (0.5 + 1e-3)
     s = conv_operator_norm(out.layers[0].kernel, 8, 8)
     assert s == pytest.approx(budget, abs=1e-9)
+    # multichannel kernels over budget land just below it, and a second
+    # projection leaves them where they are
+    for _ in range(10):
+        k = 3.0 * rng.standard_normal((2, 2, 3, 3))
+        layer = LayerParams(0.3, make_layer(channels=2).raw_thresholds, k,
+                            get_family("haar"))
+        once = constrain_params(NetworkParams([layer], eps=1e-3, patch=8,
+                                              channels=2))
+        budget = 1.0 / (0.7 + 1e-3)
+        assert conv_operator_norm(k, 8, 8) > budget
+        s = conv_operator_norm(once.layers[0].kernel, 8, 8)
+        assert budget - 1e-9 <= s <= budget
+        twice = constrain_params(once)
+        np.testing.assert_allclose(twice.layers[0].kernel, once.layers[0].kernel,
+                                   rtol=0, atol=1e-12)
 
 
 def test_constrain_params_carries_only_an_unchanged_kernels_norm(monkeypatch):
@@ -269,6 +284,7 @@ def test_constrain_params_carries_only_an_unchanged_kernels_norm(monkeypatch):
     net = NetworkParams([inside, outside], eps=1e-3, patch=8, channels=1)
     kept, rescaled = constrain_params(net).layers
     assert calls == [(8, 8), (8, 8)]
+    # an in-budget kernel comes back as the same array
     assert kept.kernel is inside.kernel
     assert kept.conv_norm(8, 8) == conv_operator_norm(inside.kernel, 8, 8)
     assert len(calls) == 2

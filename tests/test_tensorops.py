@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctrx.errors import DimensionError, SizeGuardError, ValidationError
-from ctrx.tensorops import (clip_norm, conv2d_circular, conv2d_circular_adjoint,
+from ctrx.tensorops import (conv2d_circular, conv2d_circular_adjoint,
                             conv_operator_norm, dense_norm_oracle,
                             dense_top_singular_vector, freq_response)
 
@@ -165,7 +165,7 @@ def test_operator_norm_scalar_kernel():
 def test_operator_norm_averaging_kernel_is_one():
     k = np.full((1, 1, 3, 3), 1.0 / 9.0)
     assert conv_operator_norm(k, 8, 8) == pytest.approx(1.0, abs=1e-12)
-    assert dense_norm_oracle(k, 8, 8) == pytest.approx(1.0, abs=1e-8)
+    assert dense_norm_oracle(k, 8, 8) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_operator_norm_matches_dense_oracle_multichannel():
@@ -173,7 +173,7 @@ def test_operator_norm_matches_dense_oracle_multichannel():
     k = rng.standard_normal((3, 3, 3, 3))
     fast = conv_operator_norm(k, 8, 8)
     slow = dense_norm_oracle(k, 8, 8)
-    assert abs(fast - slow) <= 1e-8
+    assert fast == pytest.approx(slow, rel=1e-12, abs=0)
 
 
 def test_operator_norm_exactness_randomized():
@@ -186,7 +186,8 @@ def test_operator_norm_exactness_randomized():
         h = int(rng.integers(max(kh, 4), 13))
         w = int(rng.integers(max(kw, 4), 13))
         k = rng.standard_normal((c_out, c_in, kh, kw))
-        assert abs(conv_operator_norm(k, h, w) - dense_norm_oracle(k, h, w)) <= 1e-8
+        assert conv_operator_norm(k, h, w) == pytest.approx(
+            dense_norm_oracle(k, h, w), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("h, w", ODD_AND_NON_SQUARE_GRIDS + [(6, 6), (9, 9)])
@@ -207,12 +208,12 @@ def test_norm_tightness_via_top_singular_vector():
         sigma, v = dense_top_singular_vector(k, 8, 8)
         out = conv2d_circular(v, k)
         ratio = np.linalg.norm(out) / np.linalg.norm(v)
-        assert ratio >= conv_operator_norm(k, 8, 8) * (1 - 1e-6)
+        assert ratio >= conv_operator_norm(k, 8, 8) * (1 - 1e-12)
 
 
 def test_dense_oracle_identity_kernels():
-    assert dense_norm_oracle(identity_kernel(1.0), 4, 4) == pytest.approx(1.0, abs=1e-10)
-    assert dense_norm_oracle(identity_kernel(2.0), 4, 4) == pytest.approx(2.0, abs=1e-10)
+    assert dense_norm_oracle(identity_kernel(1.0), 4, 4) == pytest.approx(1.0, abs=1e-12)
+    assert dense_norm_oracle(identity_kernel(2.0), 4, 4) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_dense_oracle_size_guard():
@@ -228,36 +229,3 @@ def test_adjoint_identity():
     lhs = np.sum(conv2d_circular(x, k) * u)
     rhs = np.sum(x * conv2d_circular_adjoint(u, k))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-
-def test_clip_norm_within_budget_unchanged():
-    k = identity_kernel(0.5)
-    assert clip_norm(k, 8, 8, 1.0) is k
-
-
-def test_clip_norm_rescales_to_budget():
-    k = identity_kernel(2.0)
-    clipped = clip_norm(k, 8, 8, 1.0)
-    assert conv_operator_norm(clipped, 8, 8) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_clip_norm_reaches_budget_from_above():
-    rng = np.random.default_rng(10)
-    k = 3.0 * rng.standard_normal((2, 2, 3, 3))
-    clipped = clip_norm(k, 8, 8, 0.7)
-    s = conv_operator_norm(clipped, 8, 8)
-    assert 0.7 - 1e-9 <= s <= 0.7
-
-
-def test_clip_norm_idempotent():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        k = 2.0 * rng.standard_normal((2, 2, 3, 3))
-        once = clip_norm(k, 8, 8, 0.9)
-        twice = clip_norm(once, 8, 8, 0.9)
-        np.testing.assert_allclose(twice, once, rtol=0, atol=1e-12)
-
-
-def test_clip_norm_rejects_bad_budget():
-    with pytest.raises(ValidationError):
-        clip_norm(identity_kernel(), 4, 4, 0.0)
