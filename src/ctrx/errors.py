@@ -32,10 +32,6 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-class SolverError(RuntimeError):
-    """Raised when an inner linear solver fails to converge."""
-
-
 class CorruptWeightsError(RuntimeError):
     """Raised when a weights file fails CRC, magic, or shape validation."""
 

@@ -10,8 +10,9 @@ residuals decay geometrically to a unique fixed point.
 form over the frequencies of the decimated grid. For stride > 1 the norm is
 never below 1 (decimation leaves ``A^T A`` a null space), so a certified
 superresolution solve needs ``L_D < 1``. PnP-DRS swaps the denoiser into
-Douglas-Rachford splitting, with the quadratic prox solved exactly in the
-Fourier domain (stride 1) or by conjugate gradient.
+Douglas-Rachford splitting, with the quadratic prox solved exactly in closed
+form for every stride: by Woodbury, its inner system lives on the decimated
+grid, where ``A A^T`` is diagonal in the Fourier basis.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft
 
-from .errors import DimensionError, DivergenceError, SolverError, ValidationError
+from .errors import DimensionError, DivergenceError, ValidationError
 from .io import Rng, add_awgn, open_new
 from .tensorops import (as_image, conv2d_circular, conv2d_circular_adjoint,
                         freq_response)
@@ -147,6 +148,8 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
     """
     if not alpha_step > 0:
         raise ValidationError(f"alpha_step must be positive, got {alpha_step}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     y = as_image(y)
     full_h = y.shape[-2] * model.stride
     full_w = y.shape[-1] * model.stride
@@ -173,63 +176,56 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
     return trace
 
 
-def _prox_datafit_fft(z, y, model, weight):
-    # solve (I + weight * B^T B) x = z + weight * B^T y per channel via FFT,
-    # on the real half-spectrum (columns 0 .. W//2)
+def _alias_spectrum(model, grid_h, grid_w):
+    """Eigenvalues ``mu(k)`` of ``A A^T`` on the decimated (H/s, W/s) grid."""
+    s = model.stride
+    if grid_h % s or grid_w % s:
+        raise DimensionError(
+            f"grid {grid_h}x{grid_w} not divisible by stride {s}")
+    bf = freq_response(model.kernel4d(), grid_h, grid_w)[:, :, 0, 0]
+    # the aliases of decimated frequency k are k + (m H/s, n W/s), 0 <= m, n < s
+    aliases = (np.abs(bf) ** 2).reshape(s, grid_h // s, s, grid_w // s)
+    return aliases.sum(axis=(0, 2)) / s ** 2
+
+
+def _prox_datafit(z, y, model, weight):
+    """Solve ``(I + weight A^T A) x = z + weight A^T y`` exactly, any stride.
+
+    Woodbury: ``(I + w A^T A)^-1 r = r - w A^T (I + w A A^T)^-1 A r``, and
+    ``A A^T`` is diagonal in the Fourier basis of the decimated grid (Zhao et
+    al., IEEE TIP 2016), so the inner solve is one division on the real
+    half-spectrum.
+    """
     h, w = z.shape[-2:]
-    bf = freq_response(model.kernel4d(), h, w)[:, :w // 2 + 1, 0, 0]
-    rhs = z + weight * apply_adjoint(y, model, h, w)
-    denom = 1.0 + weight * np.abs(bf) ** 2
-    return fft.irfft2(fft.rfft2(rhs, axes=(-2, -1)) / denom, s=(h, w), axes=(-2, -1))
-
-
-def _prox_datafit_cg(z, y, model, weight, tol=1e-10, max_iters=2000):
-    # conjugate gradient on the SPD map x -> x + weight * A^T A x
-    h, w = z.shape[-2:]
-
-    def op(v):
-        return v + weight * apply_adjoint(apply_forward(v, model), model, h, w)
-
-    b = z + weight * apply_adjoint(y, model, h, w)
-    x = np.zeros_like(b)
-    r = b - op(x)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    b_norm = float(np.linalg.norm(b))
-    for _ in range(max_iters):
-        if np.sqrt(rs) <= tol * max(b_norm, 1e-300):
-            return x
-        ap = op(p)
-        alpha = rs / float(np.sum(p * ap))
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise SolverError(
-        f"conjugate gradient did not reach tol {tol} in {max_iters} iterations")
+    mu = _alias_spectrum(model, h, w)
+    hs, ws = mu.shape
+    r = z + weight * apply_adjoint(y, model, h, w)
+    t = fft.irfft2(fft.rfft2(apply_forward(r, model), axes=(-2, -1))
+                   / (1.0 + weight * mu[:, :ws // 2 + 1]),
+                   s=(hs, ws), axes=(-2, -1))
+    return r - weight * apply_adjoint(t, model, h, w)
 
 
 def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
-            tol=DEFAULT_TOL, ref=None, z0=None):
+            tol=DEFAULT_TOL, ref=None):
     """Plug-and-play Douglas-Rachford splitting.
 
     One iteration: ``x = prox(z)``, ``u = D(2x - z)``, ``z <- z + u - x``,
-    where prox solves ``(I + (1/step) A^T A) x = z + (1/step) A^T y`` exactly
-    (FFT for stride 1, CG to 1e-10 otherwise). Residuals track the z-update.
+    where prox solves ``(I + (1/step) A^T A) x = z + (1/step) A^T y`` exactly,
+    in closed form for every stride. Residuals track the z-update.
     """
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     y = as_image(y)
     full_h = y.shape[-2] * model.stride
     full_w = y.shape[-1] * model.stride
     weight = 1.0 / step
-    prox = _prox_datafit_fft if model.stride == 1 else _prox_datafit_cg
-    z = apply_adjoint(y, model, full_h, full_w) if z0 is None else as_image(z0).copy()
+    z = apply_adjoint(y, model, full_h, full_w)
     trace = PnPTrace()
-    x = z
     for _ in range(max_iters):
-        x = prox(z, y, model, weight)
+        x = _prox_datafit(z, y, model, weight)
         u = denoiser(2.0 * x - z)
         z_new = z + u - x
         with np.errstate(over="ignore", invalid="ignore"):
@@ -246,7 +242,7 @@ def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
         if res <= tol * norm_z:
             trace.converged = True
             break
-    trace.final = prox(z, y, model, weight)
+    trace.final = _prox_datafit(z, y, model, weight)
     trace.converged = trace.converged and bool(np.all(np.isfinite(trace.final)))
     return trace
 
@@ -263,16 +259,9 @@ def composite_contraction_bound(model, alpha_step, lip_denoiser, grid_h, grid_w)
     """
     if alpha_step < 0:
         raise ValidationError(f"alpha_step must be >= 0, got {alpha_step}")
-    s = model.stride
-    if grid_h % s or grid_w % s:
-        raise DimensionError(
-            f"grid {grid_h}x{grid_w} not divisible by stride {s}")
-    bf = freq_response(model.kernel4d(), grid_h, grid_w)[:, :, 0, 0]
-    # the aliases of decimated frequency k are k + (m H/s, n W/s), 0 <= m, n < s
-    aliases = (np.abs(bf) ** 2).reshape(s, grid_h // s, s, grid_w // s)
-    mu = aliases.sum(axis=(0, 2)) / s ** 2
+    mu = _alias_spectrum(model, grid_h, grid_w)
     norm = float(np.max(np.abs(1.0 - alpha_step * mu)))
-    if s > 1:
+    if model.stride > 1:
         norm = max(norm, 1.0)
     return lip_denoiser * norm
 

@@ -30,6 +30,10 @@ from .tensorops import NORM_GUARD, conv2d_circular_adjoint
 from .wavelets import WaveletCoeffs, dwt2, idwt2
 
 
+DECAY_FACTOR = 0.1
+MOMENTUM = 0.9
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-4
@@ -37,10 +41,6 @@ class TrainConfig:
     batch_size: int = 16
     sigma: float = 25.0 / 255.0
     decay_epochs: tuple = (10, 20)
-    decay_factor: float = 0.1
-    momentum: float = 0.9
-    flips: bool = True
-    rotations: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -293,17 +293,16 @@ def load_patch_dataset(images, patch, stride=4, limit=None):
     return np.stack(patches)
 
 
-def _augment(batch, bits, flips, rotations):
+def _augment(batch, bits):
+    """Flip and rotate each patch by the bits of its 4-bit code."""
     out = np.empty_like(batch)
     for i, b in enumerate(bits):
         item = batch[i]
-        if flips and (b & 1):
+        if b & 1:
             item = item[:, ::-1, :]
-        if flips and (b & 2):
+        if b & 2:
             item = item[:, :, ::-1]
-        if rotations:
-            item = np.rot90(item, k=(b >> 2) & 3, axes=(-2, -1))
-        out[i] = item
+        out[i] = np.rot90(item, k=(b >> 2) & 3, axes=(-2, -1))
     return out
 
 
@@ -353,7 +352,7 @@ def train(net, dataset, cfg, val_dataset=None):
     n = dataset.shape[0]
     steps = max(1, n // cfg.batch_size)
     for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.lr * cfg.decay_factor ** sum(epoch > d for d in cfg.decay_epochs)
+        lr = cfg.lr * DECAY_FACTOR ** sum(epoch > d for d in cfg.decay_epochs)
         order = np.argsort(rng.uniform(n), kind="stable")
         epoch_loss = 0.0
         for step_i in range(steps):
@@ -361,17 +360,15 @@ def train(net, dataset, cfg, val_dataset=None):
             if idx.size == 0:
                 continue
             clean = dataset[idx]
-            if cfg.flips or cfg.rotations:
-                bits = rng.integers(idx.size, 16)
-                clean = _augment(clean, bits, cfg.flips, cfg.rotations)
+            clean = _augment(clean, rng.integers(idx.size, 16))
             noisy = add_awgn(clean, cfg.sigma, rng)
             loss, grads = backward(net, noisy, clean)
             epoch_loss += loss
             new_layers = []
             for li, layer in enumerate(net.layers):
-                vel_alpha[li] = cfg.momentum * vel_alpha[li] + grads.alpha[li]
-                vel_raw[li] = cfg.momentum * vel_raw[li] + grads.raw_thresholds[li]
-                vel_kernel[li] = cfg.momentum * vel_kernel[li] + grads.kernel[li]
+                vel_alpha[li] = MOMENTUM * vel_alpha[li] + grads.alpha[li]
+                vel_raw[li] = MOMENTUM * vel_raw[li] + grads.raw_thresholds[li]
+                vel_kernel[li] = MOMENTUM * vel_kernel[li] + grads.kernel[li]
                 new_layers.append(LayerParams(
                     layer.alpha - lr * vel_alpha[li],
                     layer.raw_thresholds - lr * vel_raw[li],

@@ -230,6 +230,43 @@ def test_restore_divergence_exits_5_without_a_warning(tmp_path, capsys):
     assert "divergence:" in err
 
 
+def test_restore_sr_drs_with_a_tiny_step_exits_zero(tmp_path, capsys):
+    # step 1e-8 puts weight 1e8 on the data fit: an ill-conditioned system
+    # for an iterative solve, which the closed-form prox solves exactly, so
+    # the iterates end up consistent with the observation
+    y = np.random.default_rng(7).random((1, 128, 128))
+    src = tmp_path / "lr.raw"
+    dst = tmp_path / "hr.raw"
+    write_image(src, y)
+    code, _, err = run(["restore", "--in", str(src), "--out", str(dst),
+                        "--task", "sr", "--blur", "gauss:9:2.0", "--algo",
+                        "drs", "--step", "1e-8", "--alpha-step", "1.0",
+                        "--identity", "--allow-expansive"], capsys)
+    assert code == 0
+    assert kv(err)["converged"] == "1"
+    x = read_image(dst)
+    assert x.shape == (1, 256, 256)
+    model = ForwardModel(gaussian_blur(9, 2.0), stride=2)
+    assert np.max(np.abs(apply_forward(x, model) - y)) <= 1e-6
+
+
+@pytest.mark.parametrize("command", ["restore", "trace"])
+@pytest.mark.parametrize("iters", ["0", "-2"])
+def test_solvers_reject_fewer_than_one_iteration(tmp_path, capsys, command, iters):
+    # with no iteration there is no result: the start A^T y must not be
+    # written as one, nor a trace CSV holding only its header
+    src = tmp_path / "y.raw"
+    out = tmp_path / "out"
+    write_image(src, np.random.default_rng(6).random((1, 16, 16)))
+    target = ["--out" if command == "restore" else "--trace", str(out)]
+    code, _, err = run([command, "--in", str(src), *target, "--task", "deblur",
+                        "--blur", "gauss:3:1.0", "--alpha-step", "1.0",
+                        "--identity", "--iters", iters], capsys)
+    assert code == 2
+    assert "\nerror: max_iters must be >= 1" in err
+    assert not out.exists()
+
+
 def test_trace_command_writes_only_csv(tmp_path, capsys):
     y = np.random.default_rng(6).random((1, 16, 16))
     src = tmp_path / "y.raw"

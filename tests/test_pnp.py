@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from ctrx.errors import (DimensionError, DivergenceError, SolverError,
-                         ValidationError)
+from ctrx.errors import DimensionError, DivergenceError, ValidationError
 from ctrx.io import Rng, add_awgn
 from ctrx.layers import contraction_certificate, init_network, network_forward
 from ctrx.metrics import psnr
-from ctrx.pnp import (ForwardModel, _prox_datafit_fft, anisotropic_gaussian_blur,
+from ctrx.pnp import (ForwardModel, _prox_datafit, anisotropic_gaussian_blur,
                       apply_adjoint, apply_forward, box_blur,
                       composite_contraction_bound, datafit, delta_blur,
                       disk_blur, gaussian_blur, grad_datafit, motion_blur,
@@ -232,22 +231,31 @@ def test_drs_residuals_monotone_after_burn_in():
         assert res[k + 1] <= res[k] * 1.001
 
 
-@pytest.mark.parametrize("h, w", [(9, 8), (8, 9), (7, 11)])
-def test_prox_datafit_fft_solves_its_system_on_odd_grids(h, w):
-    # (I + weight B^T B) x = z + weight B^T y, with an asymmetric blur so a
-    # wrong half of the spectrum cannot pass by symmetry
+@pytest.mark.parametrize("stride, h, w", [
+    pytest.param(1, 9, 8, id="9-8"),
+    pytest.param(1, 8, 9, id="8-9"),
+    pytest.param(1, 7, 11, id="7-11"),
+    pytest.param(2, 10, 14, id="stride2-10-14"),
+    pytest.param(2, 14, 6, id="stride2-14-6"),
+    pytest.param(3, 9, 15, id="stride3-9-15"),
+    pytest.param(3, 15, 12, id="stride3-15-12"),
+])
+def test_prox_datafit_fft_solves_its_system_on_odd_grids(stride, h, w):
+    # (I + weight A^T A) x = z + weight A^T y, with an asymmetric blur so a
+    # wrong half of the spectrum cannot pass by symmetry, on full and
+    # decimated grids with odd sides
     rng = np.random.default_rng(h * 16 + w)
     z = rng.random((2, h, w))
-    y = rng.random((2, h, w))
-    m = ForwardModel(sparse_random_blur(5, 0.3, seed=1), stride=1)
+    y = rng.random((2, h // stride, w // stride))
+    m = ForwardModel(sparse_random_blur(5, 0.3, seed=1), stride=stride)
     weight = 0.7
-    x = _prox_datafit_fft(z, y, m, weight)
+    x = _prox_datafit(z, y, m, weight)
     lhs = x + weight * apply_adjoint(apply_forward(x, m), m, h, w)
     rhs = z + weight * apply_adjoint(y, m, h, w)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
-def test_drs_cg_path_stride2():
+def test_drs_converges_at_stride2():
     rng = np.random.default_rng(15)
     x_true = rng.random((1, 32, 32))
     m = ForwardModel(gaussian_blur(5, 1.2), stride=2)
@@ -277,7 +285,7 @@ def test_composite_bound_quasi_convex_in_alpha():
 
 
 def test_composite_bound_power_iteration_matches_fft_path():
-    # stride 2 bound via power iteration vs dense singular value
+    # stride 2 closed-form bound vs the dense eigenvalues of I - alpha A^T A
     m = ForwardModel(gaussian_blur(3, 1.0), stride=2)
     alpha = 0.7
     got = composite_contraction_bound(m, alpha, 1.0, 8, 8)
