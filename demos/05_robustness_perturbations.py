@@ -41,12 +41,9 @@ print("\n== chroma subsampling (grayscale net applied per channel) ==")
 rgb = synth_patches(3, 96, seed=43)[:, 0]
 pert = chroma_subsample(rgb)
 delta = np.linalg.norm(pert - rgb)
-
-def denoise_rgb(img):
-    return np.concatenate([patch_denoise(img[c:c + 1], trained, plan)
-                           for c in range(3)])
-
-gap = np.linalg.norm(denoise_rgb(pert) - denoise_rgb(rgb))
+# a 1-channel network denoises a color image channel by channel
+gap = np.linalg.norm(patch_denoise(pert, trained, plan)
+                     - patch_denoise(rgb, trained, plan))
 print(f"input change {delta:.4f} -> output change {gap:.4f} "
       f"(ratio {gap / delta:.4f})")
 

@@ -7,8 +7,8 @@ from .layers import (ContractionCertificate, LayerParams, NetworkParams,
                      layer_forward, network_forward)
 from .metrics import metric_report, psnr, ssim
 from .pnp import (ForwardModel, apply_adjoint, apply_forward,
-                  composite_contraction_bound, grad_datafit, parse_blur_spec,
-                  pnp_drs, pnp_fbs, simulate, trace_to_csv)
+                  composite_contraction_bound, drs_contraction_bound, grad_datafit,
+                  parse_blur_spec, pnp_drs, pnp_fbs, simulate, trace_to_csv)
 from .tensorops import (conv2d_circular, conv_operator_norm, dense_norm_oracle,
                         freq_response)
 from .trainer import TrainConfig, backward, grad_check, loss_mse, synth_patches, train
@@ -22,7 +22,7 @@ __all__ = [
     "apply_forward", "backward",
     "composite_contraction_bound", "constrain_params",
     "contraction_certificate", "conv2d_circular", "conv_operator_norm",
-    "dense_norm_oracle", "dwt2", "freq_response", "get_family",
+    "dense_norm_oracle", "drs_contraction_bound", "dwt2", "freq_response", "get_family",
     "grad_check", "grad_datafit", "idwt2", "init_network", "layer_forward",
     "loss_mse", "metric_report", "network_forward", "parse_blur_spec",
     "patch_denoise", "plan_patches", "pnp_drs", "pnp_fbs", "psnr",

@@ -18,9 +18,9 @@ from .errors import (CertificateError, CorruptWeightsError, DivergenceError,
                      TrainingFailureError, ValidationError)
 from .inference import DEFAULT_TAPER, patch_denoise, plan_patches
 from .layers import contraction_certificate, init_network
-from .metrics import psnr, ssim
-from .pnp import (ForwardModel, composite_contraction_bound, parse_blur_spec,
-                  pnp_drs, pnp_fbs, trace_to_csv)
+from .metrics import metric_report, psnr, ssim
+from .pnp import (ForwardModel, composite_contraction_bound, drs_contraction_bound,
+                  parse_blur_spec, pnp_drs, pnp_fbs, trace_to_csv)
 from .trainer import (TrainConfig, curve_to_csv, load_patch_dataset,
                       synth_patches, train)
 
@@ -41,11 +41,11 @@ def _seed(args):
     return int(os.environ.get("CTRX_SEED", "0"))
 
 
-def _denoiser_for(args, channels, height, width):
+def _denoiser_for(args, height, width):
     """Build the full-image denoiser and report its certificates.
 
-    Returns (denoise_fn, lipschitz_bound). Grayscale weights broadcast over
-    color images channel by channel.
+    Returns (denoise_fn, lipschitz_bound). Grayscale weights denoise a color
+    image channel by channel.
     """
     if args.identity:
         _emit("certificate", 1.0)
@@ -54,25 +54,16 @@ def _denoiser_for(args, channels, height, width):
         raise ValidationError("pass --weights FILE or --identity")
     net = cio.load_weights(args.weights)
     stride = args.stride if args.stride is not None else net.patch // 2
-    taper = args.taper
-    plan = plan_patches(height, width, net.patch, stride, taper)
+    plan = plan_patches(height, width, net.patch, stride, args.taper)
     cert = contraction_certificate(net)
     _emit("certificate", cert.total_bound)
     _emit("observation_bound", cert.observation_bound)
-    if net.channels == channels:
-        fn = lambda img: patch_denoise(img, net, plan)
-    elif net.channels == 1:
-        fn = lambda img: np.concatenate(
-            [patch_denoise(img[c:c + 1], net, plan) for c in range(channels)])
-    else:
-        raise ValidationError(
-            f"weights expect {net.channels} channels, image has {channels}")
-    return fn, cert.observation_bound
+    return (lambda img: patch_denoise(img, net, plan)), cert.observation_bound
 
 
 def cmd_denoise(args):
     x = cio.read_image(args.infile)
-    fn, _ = _denoiser_for(args, x.shape[0], x.shape[1], x.shape[2])
+    fn, _ = _denoiser_for(args, x.shape[1], x.shape[2])
     cio.write_image(args.outfile, fn(x))
     return 0
 
@@ -86,23 +77,19 @@ def _forward_model(args):
 def _run_solver(args):
     y = cio.read_image(args.infile)
     model = _forward_model(args)
-    full_h = y.shape[1] * model.stride
-    full_w = y.shape[2] * model.stride
-    fn, lip = _denoiser_for(args, y.shape[0], full_h, full_w)
-    bound = composite_contraction_bound(model, args.alpha_step, lip,
-                                        full_h, full_w)
+    full_h, full_w = y.shape[1] * model.stride, y.shape[2] * model.stride
+    fn, lip = _denoiser_for(args, full_h, full_w)
+    solve, bound_of, step = ((pnp_fbs, composite_contraction_bound, args.alpha_step)
+                             if args.algo == "fbs" else
+                             (pnp_drs, drs_contraction_bound, args.step))
+    bound = bound_of(model, step, lip, full_h, full_w)
     _emit("composite_bound", bound)
     if bound >= 1 and not args.allow_expansive:
         print("composite bound >= 1: convergence is not certified "
               "(pass --allow-expansive to run anyway)", file=sys.stderr)
         return None, EXIT_EXPANSIVE
     ref = cio.read_image(args.ref) if args.ref else None
-    if args.algo == "fbs":
-        trace = pnp_fbs(y, model, fn, args.alpha_step, max_iters=args.iters,
-                        tol=args.tol, ref=ref)
-    else:
-        trace = pnp_drs(y, model, fn, args.step, max_iters=args.iters,
-                        tol=args.tol, ref=ref)
+    trace = solve(y, model, fn, step, max_iters=args.iters, tol=args.tol, ref=ref)
     _emit("iterations", trace.iterations)
     _emit("converged", int(trace.converged))
     if trace.residuals:
@@ -147,19 +134,24 @@ def cmd_certify(args):
 
 
 def _parse_perturbation(spec, x, seed):
-    parts = str(spec).split(":")
-    if parts[0] == "chroma" and len(parts) == 1:
-        return cio.chroma_subsample(x)
-    if parts[0] == "awgn" and len(parts) == 2:
-        return cio.add_awgn(x, float(parts[1]) / 255.0, cio.Rng(seed))
-    if parts[0] == "scale" and len(parts) == 2:
-        return (1.0 + float(parts[1])) * x
+    kind, *args = str(spec).split(":")
+    try:
+        if kind == "chroma" and not args:
+            return cio.chroma_subsample(x)
+        if kind in ("awgn", "scale") and len(args) == 1:
+            value = float(args[0])
+            if not np.isfinite(value):
+                raise ValueError("the number must be finite")
+            return (cio.add_awgn(x, value / 255.0, cio.Rng(seed)) if kind == "awgn"
+                    else (1.0 + value) * x)
+    except ValueError as exc:
+        raise ValidationError(f"bad perturbation spec {spec!r}: {exc}") from exc
     raise ValidationError(f"unrecognized perturbation spec {spec!r}")
 
 
 def cmd_perturb(args):
     x = cio.read_image(args.infile)
-    fn, _ = _denoiser_for(args, x.shape[0], x.shape[1], x.shape[2])
+    fn, _ = _denoiser_for(args, x.shape[1], x.shape[2])
     x_pert = _parse_perturbation(args.perturb, x, _seed(args))
     delta = float(np.linalg.norm(x_pert - x))
     base = fn(x)
@@ -182,7 +174,6 @@ def cmd_metrics(args):
     print(f"psnr={psnr(a, b, args.peak)!r}")
     print(f"ssim={ssim(a, b, args.peak)!r}")
     if args.per_channel:
-        from .metrics import metric_report
         rep = metric_report(a, b, args.peak)
         for c, (p, s) in enumerate(rep.per_channel):
             print(f"psnr_ch{c}={p!r}")

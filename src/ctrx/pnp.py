@@ -12,7 +12,8 @@ never below 1 (decimation leaves ``A^T A`` a null space), so a certified
 superresolution solve needs ``L_D < 1``. PnP-DRS swaps the denoiser into
 Douglas-Rachford splitting, with the quadratic prox solved exactly in closed
 form for every stride: by Woodbury, its inner system lives on the decimated
-grid, where ``A A^T`` is diagonal in the Fourier basis.
+grid, where ``A A^T`` is diagonal in the Fourier basis. Its certificate,
+:func:`drs_contraction_bound`, comes from the same eigenvalues.
 """
 
 from dataclasses import dataclass, field
@@ -188,22 +189,36 @@ def _alias_spectrum(model, grid_h, grid_w):
     return aliases.sum(axis=(0, 2)) / s ** 2
 
 
-def _prox_datafit(z, y, model, weight):
-    """Solve ``(I + weight A^T A) x = z + weight A^T y`` exactly, any stride.
+def _ata_spectrum(model, grid_h, grid_w):
+    """The eigenvalues of ``A^T A`` up to multiplicity: ``mu(k)``, and 0 if s > 1."""
+    mu = _alias_spectrum(model, grid_h, grid_w).ravel()
+    return np.append(mu, 0.0) if model.stride > 1 else mu
+
+
+def _datafit_prox(aty, model, weight):
+    """From ``aty = A^T y``, ``z -> x`` solving ``(I + weight A^T A) x = z + weight aty``.
 
     Woodbury: ``(I + w A^T A)^-1 r = r - w A^T (I + w A A^T)^-1 A r``, and
     ``A A^T`` is diagonal in the Fourier basis of the decimated grid (Zhao et
-    al., IEEE TIP 2016), so the inner solve is one division on the real
-    half-spectrum.
+    al., IEEE TIP 2016): the inner solve is one division on the half-spectrum.
     """
-    h, w = z.shape[-2:]
+    h, w = aty.shape[-2:]
     mu = _alias_spectrum(model, h, w)
-    hs, ws = mu.shape
-    r = z + weight * apply_adjoint(y, model, h, w)
-    t = fft.irfft2(fft.rfft2(apply_forward(r, model), axes=(-2, -1))
-                   / (1.0 + weight * mu[:, :ws // 2 + 1]),
-                   s=(hs, ws), axes=(-2, -1))
-    return r - weight * apply_adjoint(t, model, h, w)
+    shift = weight * aty
+    denom = 1.0 + weight * mu[:, :mu.shape[1] // 2 + 1]
+
+    def prox(z):
+        r = z + shift
+        t = fft.irfft2(fft.rfft2(apply_forward(r, model), axes=(-2, -1)) / denom,
+                       s=mu.shape, axes=(-2, -1))
+        return r - weight * apply_adjoint(t, model, h, w)
+    return prox
+
+
+def _prox_datafit(z, y, model, weight):
+    """Solve ``(I + weight A^T A) x = z + weight A^T y`` exactly, any stride."""
+    h, w = z.shape[-2:]
+    return _datafit_prox(apply_adjoint(y, model, h, w), model, weight)(z)
 
 
 def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
@@ -219,13 +234,11 @@ def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     y = as_image(y)
-    full_h = y.shape[-2] * model.stride
-    full_w = y.shape[-1] * model.stride
-    weight = 1.0 / step
-    z = apply_adjoint(y, model, full_h, full_w)
+    z = apply_adjoint(y, model, y.shape[-2] * model.stride, y.shape[-1] * model.stride)
+    prox = _datafit_prox(z, model, 1.0 / step)
     trace = PnPTrace()
     for _ in range(max_iters):
-        x = _prox_datafit(z, y, model, weight)
+        x = prox(z)
         u = denoiser(2.0 * x - z)
         z_new = z + u - x
         with np.errstate(over="ignore", invalid="ignore"):
@@ -242,7 +255,7 @@ def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
         if res <= tol * norm_z:
             trace.converged = True
             break
-    trace.final = _prox_datafit(z, y, model, weight)
+    trace.final = prox(z)
     trace.converged = trace.converged and bool(np.all(np.isfinite(trace.final)))
     return trace
 
@@ -257,13 +270,25 @@ def composite_contraction_bound(model, alpha_step, lip_denoiser, grid_h, grid_w)
     also has eigenvalue 0, so ``||I - alpha A^T A||`` is the larger of 1 and
     ``max_k |1 - alpha mu(k)|``, and the bound is never below ``L_D``.
     """
-    if alpha_step < 0:
+    if not alpha_step >= 0:
         raise ValidationError(f"alpha_step must be >= 0, got {alpha_step}")
-    mu = _alias_spectrum(model, grid_h, grid_w)
-    norm = float(np.max(np.abs(1.0 - alpha_step * mu)))
-    if model.stride > 1:
-        norm = max(norm, 1.0)
-    return lip_denoiser * norm
+    lam = _ata_spectrum(model, grid_h, grid_w)
+    return lip_denoiser * float(np.max(np.abs(1.0 - alpha_step * lam)))
+
+
+def drs_contraction_bound(model, step, lip_denoiser, grid_h, grid_w):
+    """``||I - M|| + L_D ||2M - I||``, ``M = (I + w A^T A)^-1``, ``w = 1/step``.
+
+    Bounds the Lipschitz constant of the DRS map ``T(z) = z - P(z) + D(2 P(z)
+    - z)``, whose prox ``P`` has linear part ``M``; < 1 certifies PnP-DRS.
+    Over the eigenvalues ``lam`` of ``A^T A`` the two norms are
+    ``max w lam / (1 + w lam)`` and ``max |1 - w lam| / (1 + w lam)``.
+    """
+    if not step > 0:
+        raise ValidationError(f"step must be positive, got {step}")
+    wlam = (1.0 / step) * _ata_spectrum(model, grid_h, grid_w)
+    return float(np.max(wlam / (1.0 + wlam))
+                 + lip_denoiser * np.max(np.abs(1.0 - wlam) / (1.0 + wlam)))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,19 @@ def test_denoise_grayscale_weights_on_color_image(tmp_path, capsys, toy_weights)
     assert read_image(dst).shape == (3, 32, 32)
 
 
+def test_denoise_color_weights_on_grayscale_image_exits_2(tmp_path, capsys):
+    wpath = tmp_path / "rgb.ctrx"
+    save_weights(wpath, init_network(depth=1, patch=8, channels=3, seed=2))
+    src = tmp_path / "g.raw"
+    write_image(src, np.zeros((1, 16, 16)))
+    code, _, err = run(["denoise", "--in", str(src), "--out",
+                        str(tmp_path / "g_out.raw"), "--weights", str(wpath)],
+                       capsys)
+    assert code == 2
+    assert "error:" in err
+    assert not (tmp_path / "g_out.raw").exists()
+
+
 def test_denoise_stride_violation_exits_2(tmp_path, capsys, toy_weights):
     wpath, _ = toy_weights
     src = tmp_path / "x.raw"
@@ -250,6 +263,22 @@ def test_restore_sr_drs_with_a_tiny_step_exits_zero(tmp_path, capsys):
     assert np.max(np.abs(apply_forward(x, model) - y)) <= 1e-6
 
 
+def test_drs_composite_bound_follows_step_not_alpha_step(tmp_path, capsys):
+    src = tmp_path / "y.raw"
+    write_image(src, np.random.default_rng(5).random((1, 16, 16)))
+
+    def bound(step, alpha):
+        code, _, err = run(["trace", "--in", str(src), "--trace",
+                            str(tmp_path / f"t{step}_{alpha}.csv"), "--task",
+                            "deblur", "--blur", "gauss:3:1.0", "--algo", "drs",
+                            "--step", step, "--alpha-step", alpha, "--iters",
+                            "1", "--identity", "--allow-expansive"], capsys)
+        assert code == 0
+        return kv(err)["composite_bound"]
+    assert bound("1.0", "1.0") == bound("1.0", "0.1")
+    assert bound("1.0", "1.0") != bound("0.1", "1.0")
+
+
 @pytest.mark.parametrize("command", ["restore", "trace"])
 @pytest.mark.parametrize("iters", ["0", "-2"])
 def test_solvers_reject_fewer_than_one_iteration(tmp_path, capsys, command, iters):
@@ -340,6 +369,18 @@ def test_perturb_zero_delta_reports_nan(tmp_path, capsys):
                         "--identity"], capsys)
     assert code == 0
     assert kv(out)["ratio"] == "nan"
+
+
+@pytest.mark.parametrize("spec", ["awgn:abc", "awgn:nan", "scale:nan",
+                                  "scale:inf", "scale:-inf", "awgn:", "blur:3"])
+def test_perturb_rejects_bad_specs_with_exit_2(tmp_path, capsys, spec):
+    src = tmp_path / "x.raw"
+    write_image(src, np.random.default_rng(9).random((1, 8, 8)))
+    code, out, err = run(["perturb", "--in", str(src), "--perturb", spec,
+                          "--identity"], capsys)
+    assert code == 2
+    assert "perturbation spec" in err
+    assert "delta_norm" not in out
 
 
 def test_metrics_command(tmp_path, capsys):

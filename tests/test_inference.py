@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ctrx.errors import DimensionError, ValidationError
 from ctrx.inference import patch_denoise, plan_patches, tukey_window
@@ -182,3 +184,69 @@ def test_patch_size_must_match_network():
     plan = plan_patches(64, 64, 16, 8)
     with pytest.raises(ValidationError):
         patch_denoise(np.zeros((1, 64, 64)), net, plan)
+
+
+@st.composite
+def plans(draw):
+    # any accepted plan: stride divides the patch, the image may be smaller
+    # than one patch, and a taper that leaves zero weight is rejected
+    patch = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16]))
+    stride = draw(st.sampled_from([d for d in range(1, patch + 1) if patch % d == 0]))
+    taper = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    try:
+        plan = plan_patches(h, w, patch, stride, taper)
+    except ValidationError:
+        assume(False)
+    return plan, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(plans())
+def test_property_identity_preservation(case):
+    plan, c, seed = case
+    x = np.random.default_rng(seed).random((c, plan.height, plan.width))
+    assert np.max(np.abs(patch_denoise(x, identity, plan) - x)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(plans())
+def test_property_matches_slow_reference_for_a_linear_map(case):
+    plan, c, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.random((c, plan.height, plan.width))
+    # moves pixels across both patch axes; elementwise arithmetic, so a
+    # batch and a single patch round alike and the blend must match exactly
+    linear = lambda t: 0.5 * np.flip(t, axis=-1) - 0.25 * np.swapaxes(t, -1, -2)
+    np.testing.assert_array_equal(patch_denoise(x, linear, plan),
+                                  slow_overlap_add(x, linear, plan))
+
+
+def test_plan_weight_is_the_accumulated_window():
+    plan = plan_patches(37, 29, 16, 4, taper=0.5)
+    den = np.zeros((plan.padded_h, plan.padded_w))
+    for r in plan.row_starts:
+        for col in plan.col_starts:
+            den[r:r + 16, col:col + 16] += plan.window
+    np.testing.assert_array_equal(
+        plan.weight, den[plan.pad_top:plan.pad_top + 37,
+                         plan.pad_left:plan.pad_left + 29])
+
+
+def test_denoiser_is_called_once_on_the_patch_batch():
+    plan = plan_patches(40, 24, 16, 8, taper=0.5)
+    calls = []
+
+    def spy(batch):
+        calls.append(batch.shape)
+        return batch
+    patch_denoise(np.zeros((2, 40, 24)), spy, plan)
+    assert calls == [(len(plan.row_starts) * len(plan.col_starts), 2, 16, 16)]
+
+
+def test_grayscale_network_folds_color_channels_into_the_batch():
+    net = init_network(depth=2, patch=16, channels=1, seed=13)
+    plan = plan_patches(40, 36, 16, 8, taper=0.5)
+    x = np.random.default_rng(14).random((3, 40, 36))
+    want = np.concatenate([patch_denoise(x[c:c + 1], net, plan) for c in range(3)])
+    assert np.array_equal(patch_denoise(x, net, plan), want)

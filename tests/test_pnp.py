@@ -8,7 +8,8 @@ from ctrx.metrics import psnr
 from ctrx.pnp import (ForwardModel, _prox_datafit, anisotropic_gaussian_blur,
                       apply_adjoint, apply_forward, box_blur,
                       composite_contraction_bound, datafit, delta_blur,
-                      disk_blur, gaussian_blur, grad_datafit, motion_blur,
+                      disk_blur, drs_contraction_bound, gaussian_blur,
+                      grad_datafit, motion_blur,
                       parse_blur_spec, pnp_drs, pnp_fbs, simulate,
                       sparse_random_blur, trace_to_csv)
 
@@ -367,3 +368,32 @@ def test_parse_blur_spec():
         parse_blur_spec("gauss:9")
     with pytest.raises(ValidationError):
         parse_blur_spec("swirl:3")
+
+
+@pytest.mark.parametrize("stride,h,w", [(1, 6, 5), (2, 6, 8), (3, 9, 6)])
+@pytest.mark.parametrize("step", [10.0, 1.0, 0.1])
+def test_drs_bound_dominates_the_dense_jacobian(stride, h, w, step):
+    # T(z) = z - P(z) + D(2 P(z) - z) with D = c Q, Q orthogonal: its
+    # Jacobian is I - M + c Q (2M - I), M the prox's linear part
+    m = ForwardModel(sparse_random_blur(3, 0.2, seed=stride), stride=stride)
+    n = h * w
+    basis = np.eye(n).reshape(n, 1, h, w)
+    y0 = np.zeros((1, h // stride, w // stride))
+    m_mat = _prox_datafit(basis, y0, m, 1.0 / step).reshape(n, n).T
+    rng = np.random.default_rng(n + stride)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    for c in (0.5, 0.9, 1.0):
+        jac = np.eye(n) - m_mat + c * q @ (2.0 * m_mat - np.eye(n))
+        got = drs_contraction_bound(m, step, c, h, w)
+        assert got >= np.linalg.norm(jac, 2) - 1e-12
+        if stride > 1:
+            assert got >= c
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0])
+def test_bounds_reject_nan_and_negative_steps(value):
+    m = ForwardModel(gaussian_blur(3, 1.0), stride=1)
+    with pytest.raises(ValidationError):
+        composite_contraction_bound(m, value, 0.9, 8, 8)
+    with pytest.raises(ValidationError):
+        drs_contraction_bound(m, value, 0.9, 8, 8)
