@@ -41,8 +41,8 @@ def _seed(args):
     return int(os.environ.get("CTRX_SEED", "0"))
 
 
-def _denoiser_for(args, height, width):
-    """Build the full-image denoiser and report its certificates.
+def _denoiser_for(args, shape):
+    """Build the denoiser of (C, H, W) images and report its certificates.
 
     Returns (denoise_fn, lipschitz_bound). Grayscale weights denoise a color
     image channel by channel.
@@ -53,8 +53,11 @@ def _denoiser_for(args, height, width):
     if not args.weights:
         raise ValidationError("pass --weights FILE or --identity")
     net = cio.load_weights(args.weights)
+    if net.channels not in (1, shape[0]):
+        raise ValidationError(
+            f"weights expect {net.channels} channels, image has {shape[0]}")
     stride = args.stride if args.stride is not None else net.patch // 2
-    plan = plan_patches(height, width, net.patch, stride, args.taper)
+    plan = plan_patches(shape[1], shape[2], net.patch, stride, args.taper)
     cert = contraction_certificate(net)
     _emit("certificate", cert.total_bound)
     _emit("observation_bound", cert.observation_bound)
@@ -63,7 +66,7 @@ def _denoiser_for(args, height, width):
 
 def cmd_denoise(args):
     x = cio.read_image(args.infile)
-    fn, _ = _denoiser_for(args, x.shape[1], x.shape[2])
+    fn, _ = _denoiser_for(args, x.shape)
     cio.write_image(args.outfile, fn(x))
     return 0
 
@@ -78,7 +81,7 @@ def _run_solver(args):
     y = cio.read_image(args.infile)
     model = _forward_model(args)
     full_h, full_w = y.shape[1] * model.stride, y.shape[2] * model.stride
-    fn, lip = _denoiser_for(args, full_h, full_w)
+    fn, lip = _denoiser_for(args, (y.shape[0], full_h, full_w))
     solve, bound_of, step = ((pnp_fbs, composite_contraction_bound, args.alpha_step)
                              if args.algo == "fbs" else
                              (pnp_drs, drs_contraction_bound, args.step))
@@ -151,7 +154,7 @@ def _parse_perturbation(spec, x, seed):
 
 def cmd_perturb(args):
     x = cio.read_image(args.infile)
-    fn, _ = _denoiser_for(args, x.shape[1], x.shape[2])
+    fn, _ = _denoiser_for(args, x.shape)
     x_pert = _parse_perturbation(args.perturb, x, _seed(args))
     delta = float(np.linalg.norm(x_pert - x))
     base = fn(x)
@@ -184,17 +187,17 @@ def cmd_metrics(args):
 def cmd_train(args):
     seed = _seed(args)
     if args.data:
-        names = sorted(os.listdir(args.data))
-        images = [cio.read_image(os.path.join(args.data, n)) for n in names
-                  if n.endswith((".pgm", ".ppm", ".raw"))]
-        if not images:
+        names = [n for n in sorted(os.listdir(args.data))
+                 if n.endswith((".pgm", ".ppm", ".raw"))]
+        if not names:
             raise ValidationError(f"no PNM or raw images found in {args.data}")
+        images = [cio.read_image(os.path.join(args.data, n)) for n in names]
+        for name, img in zip(names, images):
+            if img.shape[0] != args.channels:
+                raise ValidationError(f"{name} has {img.shape[0]} channels, "
+                                      f"--channels says {args.channels}")
         dataset = load_patch_dataset(images, args.patch, stride=4,
                                      limit=args.max_patches)
-        if dataset.shape[1] != args.channels:
-            raise ValidationError(
-                f"images have {dataset.shape[1]} channels, --channels says "
-                f"{args.channels}")
     else:
         dataset = synth_patches(args.patches, args.patch, args.channels,
                                 seed=seed + 1)
@@ -234,8 +237,9 @@ def _add_solver_flags(p):
                         "aniso:21:3.0:1.5:45, motion:15:diag, sparse:15:0.9:0")
     p.add_argument("--stride-sr", type=int, default=2,
                    help="decimation factor for --task sr")
-    p.add_argument("--alpha-step", type=float, required=True,
-                   help="gradient step size for PnP-FBS")
+    p.add_argument("--alpha-step", type=float, default=1.0,
+                   help="gradient step size for PnP-FBS (default 1.0; DRS "
+                        "does not read it)")
     p.add_argument("--algo", choices=("fbs", "drs"), default="fbs")
     p.add_argument("--step", type=float, default=1.0,
                    help="DRS prox weight is 1/step")

@@ -268,6 +268,8 @@ def init_network(depth=30, patch=64, channels=1, kernel_size=3, eps=DEFAULT_EPS,
     a mild perturbation of the prox-wavelet cascade; the result is passed
     through :func:`constrain_params`, so the certificate holds from step zero.
     """
+    if kernel_size < 1:
+        raise ValidationError(f"kernel size must be >= 1, got {kernel_size}")
     rng = np.random.default_rng(seed)
     half = patch // 2
     raw0 = float(softplus_inverse(threshold_mean))

@@ -14,6 +14,13 @@ Douglas-Rachford splitting, with the quadratic prox solved exactly in closed
 form for every stride: by Woodbury, its inner system lives on the decimated
 grid, where ``A A^T`` is diagonal in the Fourier basis. Its certificate,
 :func:`drs_contraction_bound`, comes from the same eigenvalues.
+
+Both solvers run the same loop on a state (FBS: ``x``; DRS: ``z``). Each
+iteration records the residual ``||new - state||`` and the data fit and PSNR
+of the iterate it shows, and the loop stops once the residual is at most
+``tol * ||state||`` or after ``max_iters`` (at least 1) iterations. A
+non-finite new state or residual raises DivergenceError, its trace's
+``final`` taken from the last finite state.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +30,7 @@ from scipy import fft
 
 from .errors import DimensionError, DivergenceError, ValidationError
 from .io import Rng, add_awgn, open_new
+from .metrics import psnr
 from .tensorops import (as_image, conv2d_circular, conv2d_circular_adjoint,
                         freq_response)
 
@@ -123,58 +131,63 @@ def trace_to_csv(trace, path):
             f.write(f"{i},{r!r},{d!r},{p!r}\n")
 
 
-def _psnr_or_nan(x, ref):
-    if ref is None:
-        return float("nan")
-    from .metrics import psnr
-    return psnr(x, ref)
+def _iterate(state, update, output, y, model, max_iters, tol, ref, name):
+    """Run ``state <- update(state)[0]`` as the module docstring describes.
+
+    ``update`` returns (new state, shown iterate); ``output`` maps a state to
+    the image it stands for, which becomes the trace's ``final``.
+    """
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
+    trace = PnPTrace()
+    for _ in range(max_iters):
+        new, shown = update(state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.linalg.norm(new - state))
+        if not np.all(np.isfinite(new)) or not np.isfinite(res):
+            trace.final = output(state)
+            raise DivergenceError(
+                f"non-finite iterate in {name} (expansive composition?)", trace)
+        trace.residuals.append(res)
+        trace.datafits.append(datafit(shown, y, model))
+        trace.psnrs.append(float("nan") if ref is None else psnr(shown, ref))
+        norm = float(np.linalg.norm(state))
+        state = new
+        if res <= tol * norm:
+            trace.converged = True
+            break
+    trace.final = output(state)
+    trace.converged = trace.converged and bool(np.all(np.isfinite(trace.final)))
+    return trace
 
 
 def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
             tol=DEFAULT_TOL, ref=None, x0=None):
-    """Plug-and-play forward-backward splitting.
+    """Plug-and-play forward-backward splitting: ``x <- D(x - alpha grad f(x))``.
 
     Args:
         y: Observation (C, H/s, W/s).
         model: ForwardModel whose stride relates y to the full grid.
         denoiser: Callable mapping full-resolution images to the same shape.
         alpha_step: Gradient step size (> 0).
-        max_iters, tol: Stop at ``||x_new - x|| <= tol * ||x||`` or the cap.
+        max_iters, tol: Iteration cap and relative stopping tolerance.
         ref: Optional clean reference; records per-iteration PSNR.
         x0: Optional start; defaults to ``A^T y``.
 
     Returns:
-        PnPTrace with the final iterate; raises DivergenceError (trace
-        attached) if an iterate goes non-finite.
+        PnPTrace whose ``final`` is the last iterate.
     """
     if not alpha_step > 0:
         raise ValidationError(f"alpha_step must be positive, got {alpha_step}")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     y = as_image(y)
     full_h = y.shape[-2] * model.stride
     full_w = y.shape[-1] * model.stride
     x = apply_adjoint(y, model, full_h, full_w) if x0 is None else as_image(x0).copy()
-    trace = PnPTrace()
-    for _ in range(max_iters):
-        z = x - alpha_step * grad_datafit(x, y, model)
-        x_new = denoiser(z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = float(np.linalg.norm(x_new - x))
-        if not np.all(np.isfinite(x_new)) or not np.isfinite(res):
-            trace.final = x
-            raise DivergenceError(
-                "non-finite iterate in PnP-FBS (expansive composition?)", trace)
-        trace.residuals.append(res)
-        trace.datafits.append(datafit(x_new, y, model))
-        trace.psnrs.append(_psnr_or_nan(x_new, ref))
-        norm_x = float(np.linalg.norm(x))
-        x = x_new
-        if res <= tol * norm_x:
-            trace.converged = True
-            break
-    trace.final = x
-    return trace
+
+    def update(x):
+        x_new = denoiser(x - alpha_step * grad_datafit(x, y, model))
+        return x_new, x_new
+    return _iterate(x, update, lambda x: x, y, model, max_iters, tol, ref, "PnP-FBS")
 
 
 def _alias_spectrum(model, grid_h, grid_w):
@@ -225,39 +238,20 @@ def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
             tol=DEFAULT_TOL, ref=None):
     """Plug-and-play Douglas-Rachford splitting.
 
-    One iteration: ``x = prox(z)``, ``u = D(2x - z)``, ``z <- z + u - x``,
-    where prox solves ``(I + (1/step) A^T A) x = z + (1/step) A^T y`` exactly,
-    in closed form for every stride. Residuals track the z-update.
+    One iteration: ``x = prox(z)``, ``z <- z + D(2x - z) - x``, where prox
+    solves ``(I + (1/step) A^T A) x = z + (1/step) A^T y`` exactly, in closed
+    form for every stride. The trace shows ``x``; ``final`` is ``prox(z)``.
     """
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     y = as_image(y)
     z = apply_adjoint(y, model, y.shape[-2] * model.stride, y.shape[-1] * model.stride)
     prox = _datafit_prox(z, model, 1.0 / step)
-    trace = PnPTrace()
-    for _ in range(max_iters):
+
+    def update(z):
         x = prox(z)
-        u = denoiser(2.0 * x - z)
-        z_new = z + u - x
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = float(np.linalg.norm(z_new - z))
-        if not np.all(np.isfinite(u)) or not np.isfinite(res):
-            trace.final = x
-            raise DivergenceError(
-                "non-finite iterate in PnP-DRS (expansive composition?)", trace)
-        trace.residuals.append(res)
-        trace.datafits.append(datafit(x, y, model))
-        trace.psnrs.append(_psnr_or_nan(x, ref))
-        norm_z = float(np.linalg.norm(z))
-        z = z_new
-        if res <= tol * norm_z:
-            trace.converged = True
-            break
-    trace.final = prox(z)
-    trace.converged = trace.converged and bool(np.all(np.isfinite(trace.final)))
-    return trace
+        return z + denoiser(2.0 * x - z) - x, x
+    return _iterate(z, update, prox, y, model, max_iters, tol, ref, "PnP-DRS")
 
 
 def composite_contraction_bound(model, alpha_step, lip_denoiser, grid_h, grid_w):

@@ -279,6 +279,51 @@ def test_drs_composite_bound_follows_step_not_alpha_step(tmp_path, capsys):
     assert bound("1.0", "1.0") != bound("0.1", "1.0")
 
 
+def test_restore_drs_needs_no_alpha_step(tmp_path, capsys):
+    src = tmp_path / "y.raw"
+    write_image(src, np.random.default_rng(9).random((1, 16, 16)))
+    code, _, err = run(["restore", "--in", str(src), "--out",
+                        str(tmp_path / "x.raw"), "--task", "deblur", "--algo",
+                        "drs", "--step", "1.0", "--identity"], capsys)
+    assert code == 0
+    assert (tmp_path / "x.raw").exists()
+
+
+def test_fbs_alpha_step_defaults_to_one(tmp_path, capsys):
+    src = tmp_path / "y.raw"
+    write_image(src, np.random.default_rng(9).random((1, 16, 16)))
+
+    def bound(*flags):
+        code, _, err = run(["trace", "--in", str(src), "--trace",
+                            str(tmp_path / "t.csv"), "--task", "deblur",
+                            "--blur", "gauss:3:1.0", "--iters", "1",
+                            "--identity", *flags], capsys)
+        assert code == 0
+        return kv(err)["composite_bound"]
+    assert bound() == bound("--alpha-step", "1.0")
+    assert bound() != bound("--alpha-step", "0.5")
+
+
+@pytest.mark.parametrize("flags", [[], ["--allow-expansive"]],
+                         ids=["gated", "allow_expansive"])
+def test_restore_channel_mismatch_exits_2(tmp_path, capsys, flags):
+    # 3-channel weights cannot denoise a 1-channel image: that is a bad
+    # configuration, found before the composite-bound gate
+    wpath = tmp_path / "rgb.ctrx"
+    save_weights(wpath, init_network(depth=1, patch=8, channels=3, seed=2))
+    src = tmp_path / "y.raw"
+    dst = tmp_path / "x.raw"
+    write_image(src, np.random.default_rng(3).random((1, 16, 16)))
+    code, _, err = run(["restore", "--in", str(src), "--out", str(dst),
+                        "--task", "deblur", "--blur", "gauss:3:1.0",
+                        "--alpha-step", "1.0", "--weights", str(wpath),
+                        *flags], capsys)
+    assert code == 2
+    assert "error: weights expect 3 channels, image has 1" in err
+    assert "composite_bound" not in err
+    assert not dst.exists()
+
+
 @pytest.mark.parametrize("command", ["restore", "trace"])
 @pytest.mark.parametrize("iters", ["0", "-2"])
 def test_solvers_reject_fewer_than_one_iteration(tmp_path, capsys, command, iters):
@@ -426,6 +471,20 @@ def test_train_from_image_directory(tmp_path, capsys):
     assert load_weights(wpath).patch == 16
 
 
+def test_train_rejects_images_with_other_channel_counts(tmp_path, capsys):
+    datadir = tmp_path / "data"
+    datadir.mkdir()
+    write_image(datadir / "a_gray.pgm", synth_patches(1, 24, seed=32)[0])
+    write_image(datadir / "b_color.ppm", synth_patches(1, 24, 3, seed=33)[0])
+    wpath = tmp_path / "w.ctrx"
+    code, _, err = run(["train", "--out", str(wpath), "--data", str(datadir),
+                        "--depth", "1", "--patch", "16", "--epochs", "1",
+                        "--seed", "0"], capsys)
+    assert code == 2
+    assert "error: b_color.ppm has 3 channels, --channels says 1" in err
+    assert not wpath.exists()
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch, toy_weights):
     wpath, _ = toy_weights
     x = synth_patches(1, 32, seed=22)[0]
@@ -448,8 +507,11 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch, toy_weights):
     ["--patches", "0"],      # no patch at all; printed final_val_psnr=nan
     ["--patches", "-3"],     # used to escape as a ValueError traceback
     ["--epochs", "-1"],      # used to write untrained weights and exit 0
+    ["--kernel-size", "0"],  # used to escape init_network as an IndexError
+    ["--kernel-size", "-1"],  # used to escape init_network as a ValueError
 ], ids=["batch_0", "batch_negative", "patches_1", "patches_0",
-        "patches_negative", "epochs_negative"])
+        "patches_negative", "epochs_negative", "kernel_size_0",
+        "kernel_size_negative"])
 def test_train_rejects_out_of_range_flags(tmp_path, capsys, flags):
     wpath = tmp_path / "w.ctrx"
     code, _, err = run(["train", "--out", str(wpath), "--depth", "1",

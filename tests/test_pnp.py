@@ -181,6 +181,25 @@ def test_divergence_raises_without_a_runtime_warning(solver):
     assert err.value.trace.iterations >= 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_drs_divergence_keeps_the_prox_of_the_last_finite_state():
+    y = np.random.default_rng(8).random((1, 16, 16))
+    m = ForwardModel(gaussian_blur(3, 1.0), stride=1)
+    expansive = lambda v: 1e150 * v
+    with pytest.raises(DivergenceError) as err:
+        pnp_drs(y, m, expansive, 1.0, max_iters=50)
+    trace = err.value.trace
+    assert trace.iterations >= 1
+    assert not trace.converged
+    assert np.all(np.isfinite(trace.final))
+    # replay the recorded iterations: final is prox(z) of the last finite z
+    z = apply_adjoint(y, m, 16, 16)
+    for _ in range(trace.iterations):
+        x = _prox_datafit(z, y, m, 1.0)
+        z = z + expansive(2.0 * x - z) - x
+    np.testing.assert_array_equal(trace.final, _prox_datafit(z, y, m, 1.0))
+
+
 def test_fbs_fixed_point_residual_at_termination():
     rng = np.random.default_rng(11)
     x_true = rng.random((1, 64, 64))
