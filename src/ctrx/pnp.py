@@ -18,9 +18,9 @@ grid, where ``A A^T`` is diagonal in the Fourier basis. Its certificate,
 Both solvers run the same loop on a state (FBS: ``x``; DRS: ``z``). Each
 iteration records the residual ``||new - state||`` and the data fit and PSNR
 of the iterate it shows, and the loop stops once the residual is at most
-``tol * ||state||`` or after ``max_iters`` (at least 1) iterations. A
-non-finite new state or residual raises DivergenceError, its trace's
-``final`` taken from the last finite state.
+``tol * ||state||`` (``tol`` finite and >= 0) or after ``max_iters`` (at
+least 1) iterations. A non-finite new state or residual raises
+DivergenceError, its trace's ``final`` taken from the last finite state.
 """
 
 from dataclasses import dataclass, field
@@ -139,6 +139,8 @@ def _iterate(state, update, output, y, model, max_iters, tol, ref, name):
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     trace = PnPTrace()
     for _ in range(max_iters):
         new, shown = update(state)

@@ -118,6 +118,26 @@ def test_denoise_corrupt_weights_exits_3(tmp_path, capsys):
     assert "CRC" in err or "corrupt" in err.lower()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid:RuntimeWarning")
+def test_denoise_overflow_in_a_worker_exits_2(tmp_path, capsys):
+    # the finite 1.5e308 block overflows inside the first dwt2, in the
+    # worker threads of the chunks whose patches cover it, the last chunk
+    # among them; the next finiteness check raises there
+    wpath = tmp_path / "w.ctrx"
+    save_weights(wpath, init_network(depth=2, patch=64, channels=1, seed=4))
+    x = np.random.default_rng(5).random((1, 256, 256))
+    x[0, 232:240, 232:240] = 1.5e308
+    src = tmp_path / "x.raw"
+    dst = tmp_path / "y.raw"
+    write_image(src, x)
+    code, _, err = run(["denoise", "--in", str(src), "--out", str(dst),
+                        "--weights", str(wpath)], capsys)
+    assert code == 2
+    assert "error: image contains non-finite values" in err
+    assert not dst.exists()
+
+
 def test_certify_malformed_weights_exits_3(crafted_weights, capsys):
     # the CRC is valid; the float patch size used to escape as a TypeError
     code, _, err = run(["certify", "--weights", str(crafted_weights(patch=4.0))],
@@ -339,6 +359,32 @@ def test_solvers_reject_fewer_than_one_iteration(tmp_path, capsys, command, iter
     assert code == 2
     assert "\nerror: max_iters must be >= 1" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["restore", "trace"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_solvers_reject_a_negative_or_non_finite_tol(tmp_path, capsys, command, tol):
+    src = tmp_path / "y.raw"
+    out = tmp_path / "out"
+    write_image(src, np.random.default_rng(6).random((1, 16, 16)))
+    target = ["--out" if command == "restore" else "--trace", str(out)]
+    code, _, err = run([command, "--in", str(src), *target, "--task", "deblur",
+                        "--blur", "gauss:3:1.0", "--identity", "--tol", tol],
+                       capsys)
+    assert code == 2
+    assert "\nerror: tol must be finite and >= 0" in err
+    assert not out.exists()
+
+
+def test_restore_tol_zero_runs_every_iteration(tmp_path, capsys):
+    src = tmp_path / "y.raw"
+    write_image(src, np.random.default_rng(6).random((1, 16, 16)))
+    code, _, err = run(["restore", "--in", str(src), "--out",
+                        str(tmp_path / "x.raw"), "--task", "deblur", "--blur",
+                        "gauss:3:1.0", "--identity", "--iters", "3", "--tol",
+                        "0"], capsys)
+    assert code == 0
+    assert kv(err)["iterations"] == "3"
 
 
 def test_trace_command_writes_only_csv(tmp_path, capsys):

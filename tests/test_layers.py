@@ -7,6 +7,7 @@ from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, constrain_params
                          contraction_certificate, init_network, layer_forward,
                          network_forward, softplus, softplus_inverse)
 from ctrx.tensorops import NORM_GUARD, conv_operator_norm
+from ctrx.trainer import backward, loss_mse
 from ctrx.wavelets import dwt2, get_family, idwt2
 
 
@@ -164,6 +165,96 @@ def test_network_forward_shape_checks():
         network_forward(np.zeros((2, 8, 8)), net)
     with pytest.raises(DimensionError):
         network_forward(np.zeros((1, 8, 8)), net, x0=np.zeros((1, 6, 6)))
+
+
+def unsplit_forward(monkeypatch, y, net, x0=None):
+    """The forward of the whole batch at once: one chunk, run inline."""
+    with monkeypatch.context() as m:
+        m.setattr(ctrx.layers, "CHUNK_BYTES", y.nbytes)
+        return network_forward(y, net, x0=x0)
+
+
+@pytest.mark.parametrize("batch, channels, patch", [
+    (81, 1, 64),     # 6 chunks, the denoise workload's batch
+    (250, 1, 32),    # 4 chunks
+    (50, 3, 32),     # 3 chunks of a 3-channel net
+])
+def test_split_forward_is_bitwise_equal(monkeypatch, batch, channels, patch):
+    net = init_network(depth=3, patch=patch, channels=channels, seed=7)
+    y = np.random.default_rng(batch).random((batch, channels, patch, patch))
+    assert y.nbytes > 2 * ctrx.layers.CHUNK_BYTES
+    assert np.array_equal(network_forward(y, net), unsplit_forward(monkeypatch, y, net))
+
+
+def test_split_forward_two_leading_axes_and_x0(monkeypatch):
+    net = init_network(depth=3, patch=64, seed=8)
+    rng = np.random.default_rng(17)
+    y = rng.random((9, 9, 1, 64, 64))
+    x0 = rng.standard_normal(y.shape)
+    out = network_forward(y, net, x0=x0)
+    assert out.shape == y.shape
+    assert np.array_equal(out, unsplit_forward(monkeypatch, y, net, x0=x0))
+    assert not np.array_equal(out, network_forward(y, net))
+
+
+def test_split_forward_matches_the_training_forward():
+    # backward runs the layers on the whole batch through the tape path
+    net = init_network(depth=3, patch=64, seed=9)
+    rng = np.random.default_rng(18)
+    y = rng.random((81, 1, 64, 64))
+    target = rng.random(y.shape)
+    assert y.nbytes > ctrx.layers.CHUNK_BYTES
+    loss, _ = backward(net, y, target)
+    assert loss == loss_mse(network_forward(y, net), target)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_split_forward_threads_are_capped(monkeypatch, cpus):
+    net = init_network(depth=2, patch=64, seed=10)
+    y = np.random.default_rng(19).random((81, 1, 64, 64))
+    want = unsplit_forward(monkeypatch, y, net)
+    workers = []
+    pool = ctrx.layers.ThreadPoolExecutor
+
+    def spy(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers)
+    monkeypatch.setattr(ctrx.layers.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    monkeypatch.setattr(ctrx.layers, "ThreadPoolExecutor", spy)
+    assert np.array_equal(network_forward(y, net), want)
+    assert workers == [min(6, cpus)]   # 6 chunks of 81 patches of 64x64
+
+
+def test_one_chunk_batch_runs_inline(monkeypatch):
+    net = init_network(depth=2, patch=32, seed=11)
+    y = np.random.default_rng(20).random((25, 1, 32, 32))
+    assert y.nbytes <= ctrx.layers.CHUNK_BYTES
+    monkeypatch.setattr(ctrx.layers, "ThreadPoolExecutor", None)
+    assert network_forward(y, net).shape == y.shape
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, 1.5e308])
+def test_a_non_finite_last_patch_raises(bad):
+    # NaN fails the input check before the split; the finite 1.5e308
+    # overflows in the last chunk's first dwt2, and the next finiteness
+    # check fails in that chunk's worker thread
+    net = init_network(depth=2, patch=64, seed=12)
+    y = np.random.default_rng(21).random((81, 1, 64, 64))
+    y[-1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        network_forward(y, net)
+
+
+def test_thresholds_are_computed_once_and_read_only():
+    p = make_layer(threshold=0.3)
+    thr = p.thresholds()
+    assert p.thresholds() is thr
+    np.testing.assert_array_equal(thr, softplus(p.raw_thresholds))
+    with pytest.raises(ValueError):
+        thr[0, 0, 0, 0] = 1.0
 
 
 def test_network_state_perturbation_obeys_certificate():
