@@ -20,6 +20,10 @@ from .tensorops import as_image
 from .wavelets import FAMILY_CYCLE, get_family
 
 RAW_MAGIC = b"CTRI"
+# largest magnitude a raw image may hold: the fourth power of such a value
+# (SSIM multiplies four) and sums of squares stay far from overflow, so the
+# DWT, the convolutions, PSNR, SSIM and the training loss stay finite
+MAX_ABS_VALUE = 1e64
 WEIGHTS_MAGIC = b"CTRX"
 WEIGHTS_VERSION = 1
 
@@ -181,6 +185,8 @@ def _parse_pnm(data):
             end = pos
             while end < len(data) and data[end:end + 1].isdigit():
                 end += 1
+            if end - pos > 20:
+                raise ValidationError(f"PNM header field too long at byte {pos}")
             fields.append(int(data[pos:end]))
             pos = end
         else:
@@ -200,7 +206,11 @@ def _parse_pnm(data):
 
 
 def read_image(path):
-    """Read PGM/PPM/raw by sniffing the magic bytes; returns (C, H, W) float64."""
+    """Read PGM/PPM/raw by sniffing the magic bytes; returns (C, H, W) float64.
+
+    PGM/PPM values are scaled to [0, 1]; a raw image holding a value that is
+    not finite or exceeds ``MAX_ABS_VALUE`` in magnitude is rejected.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if data[:2] in (b"P5", b"P6"):
@@ -213,6 +223,10 @@ def read_image(path):
         if len(data) - 16 < 8 * count:
             raise ValidationError("truncated raw image payload")
         payload = np.frombuffer(data, dtype="<f8", count=count, offset=16)
+        if not np.all(np.abs(payload) <= MAX_ABS_VALUE):
+            raise ValidationError(
+                f"{path}: raw image values must be finite and within "
+                f"+-{MAX_ABS_VALUE:g}")
         return payload.reshape(c, h, w).copy()
     raise ValidationError(f"unrecognized image format in {path}")
 

@@ -117,8 +117,8 @@ class NetworkParams:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise ValidationError("network needs at least one layer")
-        if not self.eps > 0:
-            raise ValidationError(f"eps must be positive, got {self.eps}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValidationError(f"eps must be finite and positive, got {self.eps}")
         if self.patch < 2 or self.patch % 2:
             raise ValidationError(f"patch must be even and >= 2, got {self.patch}")
         half = self.patch // 2

@@ -28,10 +28,14 @@ def _check_same_shape(a, b):
     return a, b
 
 
+def _check_peak(peak):
+    if not (math.isfinite(peak) and peak > 0):
+        raise ValidationError(f"peak must be finite and positive, got {peak}")
+
+
 def psnr(a, b, peak=1.0):
     """Peak signal-to-noise ratio in dB; ``inf`` for identical inputs."""
-    if not peak > 0:
-        raise ValidationError(f"peak must be positive, got {peak}")
+    _check_peak(peak)
     a, b = _check_same_shape(a, b)
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
@@ -67,6 +71,7 @@ def _ssim_channel(a, b, peak):
 
 def ssim(a, b, peak=1.0):
     """Mean local structural similarity, channels averaged."""
+    _check_peak(peak)
     a, b = _check_same_shape(a, b)
     h, w = a.shape[-2:]
     if h < SSIM_WINDOW or w < SSIM_WINDOW:

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if list(self.decay_epochs) != sorted(self.decay_epochs):
             raise ValidationError("decay epochs must be ascending")
 

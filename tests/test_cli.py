@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctrx.cli import main
 from ctrx.io import Rng, add_awgn, load_weights, read_image, save_weights, write_image
@@ -118,12 +120,10 @@ def test_denoise_corrupt_weights_exits_3(tmp_path, capsys):
     assert "CRC" in err or "corrupt" in err.lower()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid:RuntimeWarning")
-def test_denoise_overflow_in_a_worker_exits_2(tmp_path, capsys):
-    # the finite 1.5e308 block overflows inside the first dwt2, in the
-    # worker threads of the chunks whose patches cover it, the last chunk
-    # among them; the next finiteness check raises there
+def test_denoise_rejects_values_beyond_the_input_bound(tmp_path, capsys):
+    # the finite 1.5e308 block used to overflow inside the first dwt2 and
+    # fail a later finiteness check; the read now names the bound, and no
+    # RuntimeWarning (an error under this suite) is raised on the way
     wpath = tmp_path / "w.ctrx"
     save_weights(wpath, init_network(depth=2, patch=64, channels=1, seed=4))
     x = np.random.default_rng(5).random((1, 256, 256))
@@ -131,10 +131,12 @@ def test_denoise_overflow_in_a_worker_exits_2(tmp_path, capsys):
     src = tmp_path / "x.raw"
     dst = tmp_path / "y.raw"
     write_image(src, x)
-    code, _, err = run(["denoise", "--in", str(src), "--out", str(dst),
-                        "--weights", str(wpath)], capsys)
+    code, out, err = run(["denoise", "--in", str(src), "--out", str(dst),
+                          "--weights", str(wpath)], capsys)
     assert code == 2
-    assert "error: image contains non-finite values" in err
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {src}: raw image values must be finite and within +-1e+64"]
     assert not dst.exists()
 
 
@@ -488,6 +490,20 @@ def test_metrics_command(tmp_path, capsys):
     assert float(stats["ssim"]) == 1.0
 
 
+@pytest.mark.parametrize("peak", ["inf", "nan", "0", "-1"])
+def test_metrics_rejects_a_peak_that_is_not_finite_and_positive(tmp_path, capsys,
+                                                                 peak):
+    # --peak inf used to print psnr=inf, warn from inside SSIM and print
+    # ssim=nan with exit 0
+    pa = tmp_path / "a.raw"
+    write_image(pa, np.random.default_rng(9).random((1, 16, 16)))
+    code, out, err = run(["metrics", "--a", str(pa), "--b", str(pa),
+                          "--peak", peak], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: peak must be finite and positive, got {float(peak)}\n"
+
+
 def test_train_command_produces_certified_weights(tmp_path, capsys):
     wpath = tmp_path / "trained.ctrx"
     curve = tmp_path / "curve.csv"
@@ -566,6 +582,58 @@ def test_train_rejects_out_of_range_flags(tmp_path, capsys, flags):
     assert code == 2
     assert err.startswith("error: ")
     assert not wpath.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    # --sigma nan and inf used to fail as "image contains non-finite values"
+    (["--sigma", "nan"], "sigma must be finite and >= 0, got nan"),
+    (["--sigma", "inf"], "sigma must be finite and >= 0, got inf"),
+    (["--sigma", "-25"], "sigma must be finite and >= 0, got -0.098"),
+    # --eps inf used to exit 0 with certificate=0.0 and all-zero kernels
+    (["--eps", "inf"], "eps must be finite and positive, got inf"),
+], ids=["sigma_nan", "sigma_inf", "sigma_negative", "eps_inf"])
+def test_train_names_a_bad_sigma_or_eps(tmp_path, capsys, flags, message):
+    wpath = tmp_path / "w.ctrx"
+    code, _, err = run(["train", "--out", str(wpath), "--depth", "1",
+                        "--patch", "16", "--epochs", "1", "--seed", "0",
+                        *flags], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not wpath.exists()
+
+
+def test_certify_weights_with_an_infinite_eps_exits_3(crafted_weights, capsys):
+    # JSON writes the float inf as Infinity and reads it back; the network
+    # it describes has no finite gain, so the file is corrupt
+    code, out, err = run(["certify", "--weights",
+                          str(crafted_weights(eps=float("inf")))], capsys)
+    assert code == 3
+    assert out == ""
+    assert "eps must be finite and positive" in err
+
+
+@pytest.fixture(scope="module")
+def saved_rgb_weights(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flip") / "w.ctrx"
+    save_weights(path, init_network(depth=2, patch=8, channels=3, seed=6))
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_property_any_flipped_byte_exits_3(tmp_path, capsys, saved_rgb_weights,
+                                           data):
+    raw = bytearray(saved_rgb_weights)
+    pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+    raw[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    path = tmp_path / "flipped.ctrx"
+    path.unlink(missing_ok=True)  # a fresh file: a truncated one is flushed on close
+    path.write_bytes(bytes(raw))
+    code, out, err = run(["certify", "--weights", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("weights error: ")
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -1,9 +1,14 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctrx.errors import CorruptWeightsError, DimensionError, ValidationError
-from ctrx.io import (Rng, add_awgn, chroma_subsample, load_weights, read_image,
-                     save_weights, write_image)
+from ctrx.io import (MAX_ABS_VALUE, Rng, _parse_pnm, add_awgn, chroma_subsample,
+                     load_weights, read_image, save_weights, write_image)
 from ctrx.layers import contraction_certificate, init_network
 
 # first outputs for seed 0, frozen; the leading three equal the published
@@ -243,3 +248,110 @@ def test_crafted_weights_file_loads(crafted_weights):
 def test_malformed_weights_with_valid_crc_are_corrupt(crafted_weights, craft):
     with pytest.raises(CorruptWeightsError):
         load_weights(crafted_weights(**craft))
+
+
+@pytest.mark.parametrize("value", [MAX_ABS_VALUE, -MAX_ABS_VALUE])
+def test_raw_image_at_the_bound_reads(tmp_path, value):
+    p = tmp_path / "x.raw"
+    write_image(p, np.full((1, 2, 3), value))
+    np.testing.assert_array_equal(read_image(p), np.full((1, 2, 3), value))
+
+
+@pytest.mark.parametrize("value", [np.nextafter(MAX_ABS_VALUE, np.inf),
+                                   -1.5e308, np.inf, -np.inf, np.nan])
+def test_raw_image_beyond_the_bound_is_rejected(tmp_path, value):
+    p = tmp_path / "x.raw"
+    x = np.zeros((2, 4, 4))
+    x[1, 2, 3] = value
+    # write_image itself refuses non-finite values: write the payload by hand
+    p.write_bytes(b"CTRI" + struct.pack("<III", 2, 4, 4) + x.astype("<f8").tobytes())
+    with pytest.raises(ValidationError, match=r"within \+-1e\+64"):
+        read_image(p)
+
+
+def test_pnm_header_field_of_5000_digits_is_a_validation_error():
+    # int() refuses strings beyond 4300 digits with a plain ValueError
+    with pytest.raises(ValidationError, match="field too long"):
+        _parse_pnm(b"P5 " + b"9" * 5000 + b" 1 255\n")
+
+
+PNM_PREFIXES = st.sampled_from([b"", b"P5", b"P6", b"P5\n", b"P6 4 4 255\n",
+                                b"P5 3 2 65535\n", b"P5\n#"])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(PNM_PREFIXES, st.binary(max_size=64))
+def test_property_pnm_parser_raises_only_validation_errors(prefix, tail):
+    try:
+        _parse_pnm(prefix + tail)
+    except ValidationError:
+        pass
+
+
+def _with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+WEIGHTS_PREFIXES = st.sampled_from([
+    b"", b"CTRX", b"CTRX" + struct.pack("<I", 1),
+    b"CTRX" + struct.pack("<II", 1, 2) + b"{}",
+    b"CTRX" + struct.pack("<II", 1, 9) + b'{"depth":'])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(WEIGHTS_PREFIXES, st.binary(max_size=96), st.booleans())
+def test_property_weights_loader_raises_only_corrupt_weights(tmp_path, prefix,
+                                                             tail, crc):
+    # a valid CRC over random bytes takes the parser past the checksum
+    body = prefix + tail
+    p = tmp_path / "w.ctrx"
+    p.unlink(missing_ok=True)  # a fresh file: a truncated one is flushed on close
+    p.write_bytes(_with_crc(body) if crc else body)
+    try:
+        load_weights(p)
+    except CorruptWeightsError:
+        pass
+
+
+FIELD_VALUES = st.one_of(st.integers(-2, 9), st.integers(), st.floats(),
+                         st.none(), st.text(max_size=3),
+                         st.lists(st.integers(-1, 5), max_size=5))
+
+
+@st.composite
+def weights_headers(draw):
+    """A header dict whose fields hold valid values or random junk."""
+    header = {"depth": draw(st.one_of(st.integers(0, 3), FIELD_VALUES)),
+              "patch": draw(st.one_of(st.sampled_from([2, 4, 6]), FIELD_VALUES)),
+              "channels": draw(st.one_of(st.integers(0, 2), FIELD_VALUES)),
+              "eps": draw(st.one_of(st.floats(), FIELD_VALUES)),
+              "kernel_shapes": draw(st.one_of(
+                  st.lists(st.lists(st.integers(-1, 3), max_size=5), max_size=3),
+                  FIELD_VALUES)),
+              "family_cycle": draw(st.one_of(
+                  st.just(["haar", "db4", "sym4"]), FIELD_VALUES)),
+              "thresholds_per_channel": True}
+    drop = draw(st.sets(st.sampled_from(sorted(header)), max_size=2))
+    return {key: value for key, value in header.items() if key not in drop}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(weights_headers(),
+       st.lists(st.lists(st.floats(), max_size=40), max_size=8),
+       st.binary(max_size=8))
+def test_property_structured_weights_raise_only_corrupt_weights(
+        crafted_weights, header, blocks, tail):
+    # a header of valid and junk fields, count-prefixed blocks and stray
+    # bytes, all under a valid CRC
+    path = crafted_weights(header=header, blocks=blocks)
+    body = path.read_bytes()[:-4] + tail
+    path.unlink()
+    path.write_bytes(_with_crc(body))
+    try:
+        load_weights(path)
+    except CorruptWeightsError:
+        pass
+    finally:
+        path.unlink()  # the next example writes a fresh file, not a truncated one

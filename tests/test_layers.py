@@ -139,6 +139,12 @@ def test_network_params_rejects_bad_eps():
         NetworkParams([p], eps=0.0, patch=8, channels=1)
 
 
+@pytest.mark.parametrize("eps", [np.inf, np.nan, -1e-3])
+def test_network_params_rejects_a_non_finite_or_negative_eps(eps):
+    with pytest.raises(ValidationError, match="eps must be finite and positive"):
+        NetworkParams([make_layer()], eps=eps, patch=8, channels=1)
+
+
 def test_network_forward_single_zero_kernel_layer():
     layer = make_layer(kernel=np.zeros((1, 1, 3, 3)), patch=8)
     net = NetworkParams([layer], eps=1e-3, patch=8, channels=1)

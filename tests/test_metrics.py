@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctrx.errors import DimensionError
+from ctrx.errors import DimensionError, ValidationError
 from ctrx.metrics import gaussian_window, metric_report, psnr, ssim
 
 
@@ -104,3 +104,11 @@ def test_metric_report_per_channel():
     assert rep.per_channel[0][0] < 30
     assert rep.psnr_db == pytest.approx(psnr(a, b))
     assert rep.ssim == pytest.approx(ssim(a, b))
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim, metric_report])
+@pytest.mark.parametrize("peak", [math.inf, math.nan, 0.0, -1.0])
+def test_metrics_need_a_finite_positive_peak(metric, peak):
+    x = np.random.default_rng(10).random((1, 12, 12))
+    with pytest.raises(ValidationError, match="peak must be finite and positive"):
+        metric(x, x, peak)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrx.errors import DimensionError, SizeGuardError, ValidationError
-from ctrx.tensorops import (conv2d_circular, conv2d_circular_adjoint,
-                            conv_operator_norm, dense_norm_oracle,
-                            dense_top_singular_vector, freq_response)
+from ctrx.tensorops import (_kernel_rfft, conv2d_circular,
+                            conv2d_circular_adjoint, conv_operator_norm,
+                            dense_norm_oracle, dense_top_singular_vector,
+                            freq_response)
 
 
 def identity_kernel(weight=1.0):
@@ -229,3 +232,91 @@ def test_adjoint_identity():
     lhs = np.sum(conv2d_circular(x, k) * u)
     rhs = np.sum(x * conv2d_circular_adjoint(u, k))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def full_svd_norm(k, h, w):
+    """The largest singular value over every half-spectrum channel matrix."""
+    kf = _kernel_rfft(k, h, w)
+    mats = kf.reshape(k.shape[0], k.shape[1], -1).transpose(2, 0, 1)
+    return float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
+
+
+@st.composite
+def multichannel_kernels(draw):
+    c_out = draw(st.integers(1, 5))
+    c_in = draw(st.integers(1 if c_out > 1 else 2, 5))
+    k_h, k_w = draw(st.sampled_from([1, 3, 5])), draw(st.sampled_from([1, 3, 5]))
+    h, w = draw(st.integers(k_h, 13)), draw(st.integers(k_w, 13))
+    scale = draw(st.sampled_from([5e-324, 1e-310, 1e-300, 1e-150, 1e-5, 1.0, 1e5,
+                                  1e150, 1e300]))
+    kind = draw(st.sampled_from(["random", "zero", "diagonal", "near_identity"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = rng.standard_normal((c_out, c_in, k_h, k_w))
+    if kind == "zero":
+        k[:] = 0.0
+    elif kind == "diagonal":
+        # center taps on the diagonal: every frequency holds the same
+        # diagonal matrix, so the Gershgorin bound is tight and every
+        # frequency ties at the maximum
+        k[:] = 0.0
+        d = min(c_out, c_in)
+        k[range(d), range(d), k_h // 2, k_w // 2] = draw(st.lists(
+            st.sampled_from([0.5, 1.0, -2.0]), min_size=d, max_size=d))
+    elif kind == "near_identity":
+        k *= 0.05
+        d = min(c_out, c_in)
+        k[range(d), range(d), k_h // 2, k_w // 2] += 1.0
+    return k * scale, h, w
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(multichannel_kernels())
+def test_property_pruned_norm_is_bitwise_the_full_svd_norm(case):
+    k, h, w = case
+    assert conv_operator_norm(k, h, w) == full_svd_norm(k, h, w)
+
+
+def test_pruned_norm_of_a_subnormal_kernel():
+    # LAPACK rounds these singular values to multiples of 2^-1074 (here
+    # 1.5e-323 for a true 1.29e-323), above the Gershgorin bound of their
+    # own matrices: a lower bound taken from the unscaled SVD would prune
+    # every frequency
+    tiny = 5e-324
+    k = np.array([[0, -2, -1, 1], [1, -1, 0, 0]], dtype=float) * tiny
+    k = k.reshape(2, 4, 1, 1)
+    assert conv_operator_norm(k, 7, 9) == full_svd_norm(k, 7, 9) == 3 * tiny
+
+
+def test_norm_runs_the_svd_on_few_frequencies(monkeypatch):
+    # a near-identity 3-channel kernel on 32x32: 544 half-spectrum
+    # matrices, of which only those near the largest response can hold it
+    k = 0.05 * np.random.default_rng(31).standard_normal((3, 3, 3, 3))
+    k[range(3), range(3), 1, 1] += 1.0
+    factored = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        factored.append(1 if np.ndim(a) == 2 else len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    norm = conv_operator_norm(k, 32, 32)
+    assert sum(factored) < 544 / 4
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert norm == full_svd_norm(k, 32, 32)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 3, 5]),
+       st.sampled_from([1, 3, 5]), st.integers(5, 12), st.integers(5, 12),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_property_conv_adjoint_identity(c_out, c_in, k_h, k_w, h, w, batch, seed):
+    # <A x, u> = <x, A^T u> for the circular conv and its adjoint
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal((c_out, c_in, k_h, k_w))
+    x = rng.standard_normal((batch, c_in, h, w))
+    u = rng.standard_normal((batch, c_out, h, w))
+    lhs = np.sum(conv2d_circular(x, k) * u)
+    rhs = np.sum(x * conv2d_circular_adjoint(u, k))
+    scale = np.linalg.norm(k) * np.linalg.norm(x) * np.linalg.norm(u)
+    assert abs(lhs - rhs) <= 1e-12 * scale

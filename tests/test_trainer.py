@@ -200,6 +200,12 @@ def test_train_rejects_wrong_dataset_shape():
         train(net, np.zeros((4, 1, 16, 16)), TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+def test_train_config_rejects_a_non_finite_or_negative_sigma(sigma):
+    with pytest.raises(ValidationError, match="sigma must be finite and >= 0"):
+        TrainConfig(sigma=sigma)
+
+
 def test_curve_csv(tmp_path):
     curve = [EpochStats(1, 0.5, 22.25, 0.9), EpochStats(2, 0.25, float("nan"), 0.8)]
     path = tmp_path / "curve.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrx.errors import DimensionError, ValidationError
 from ctrx.wavelets import (FAMILIES, WaveletCoeffs, WaveletFamily, dwt2,
@@ -210,3 +212,21 @@ def test_batched_transform_matches_loop():
         single = dwt2(batch[i], fam)
         np.testing.assert_array_equal(coeffs.ll[i], single.ll)
         np.testing.assert_array_equal(coeffs.hh[i], single.hh)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(ALL_FAMILIES), st.integers(1, 3), st.integers(1, 8),
+       st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_property_dwt_adjoint_identity(name, c, half_h, half_w, seed):
+    # <W x, c> = <x, W^T c>, with idwt2 as W^T; grids down to 2x2 make the
+    # 8-tap filters wrap onto one column several times
+    fam = FAMILIES[name]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c, 2 * half_h, 2 * half_w))
+    bands = rng.standard_normal((4, c, half_h, half_w))
+    coeffs = WaveletCoeffs(*bands)
+    wx = dwt2(x, fam)
+    lhs = sum(np.sum(getattr(wx, b) * getattr(coeffs, b))
+              for b in ("ll", "lh", "hl", "hh"))
+    rhs = np.sum(x * idwt2(coeffs, fam))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(bands)
