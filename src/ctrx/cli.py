@@ -145,8 +145,14 @@ def _parse_perturbation(spec, x, seed):
             value = float(args[0])
             if not np.isfinite(value):
                 raise ValueError("the number must be finite")
-            return (cio.add_awgn(x, value / 255.0, cio.Rng(seed)) if kind == "awgn"
-                    else (1.0 + value) * x)
+            # an overflow is caught by the bound below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = (cio.add_awgn(x, value / 255.0, cio.Rng(seed)) if kind == "awgn"
+                       else (1.0 + value) * x)
+            if not np.all(np.abs(out) <= cio.MAX_ABS_VALUE):
+                raise ValueError(f"the perturbed image must stay within "
+                                 f"+-{cio.MAX_ABS_VALUE:g}")
+            return out
     except ValueError as exc:
         raise ValidationError(f"bad perturbation spec {spec!r}: {exc}") from exc
     raise ValidationError(f"unrecognized perturbation spec {spec!r}")
@@ -154,8 +160,8 @@ def _parse_perturbation(spec, x, seed):
 
 def cmd_perturb(args):
     x = cio.read_image(args.infile)
-    fn, _ = _denoiser_for(args, x.shape)
     x_pert = _parse_perturbation(args.perturb, x, _seed(args))
+    fn, _ = _denoiser_for(args, x.shape)
     delta = float(np.linalg.norm(x_pert - x))
     base = fn(x)
     pert = fn(x_pert)

@@ -20,9 +20,10 @@ from .tensorops import as_image
 from .wavelets import FAMILY_CYCLE, get_family
 
 RAW_MAGIC = b"CTRI"
-# largest magnitude a raw image may hold: the fourth power of such a value
-# (SSIM multiplies four) and sums of squares stay far from overflow, so the
-# DWT, the convolutions, PSNR, SSIM and the training loss stay finite
+# largest magnitude a raw image, a perturbed image or a kernel tap may hold:
+# the fourth power of such a value (SSIM multiplies four) and sums of squares
+# stay far from overflow, so the DWT, the kernel spectra and their Gram
+# matrices, PSNR, SSIM and the training loss stay finite
 MAX_ABS_VALUE = 1e64
 WEIGHTS_MAGIC = b"CTRX"
 WEIGHTS_VERSION = 1
@@ -319,6 +320,10 @@ def load_weights(path):
             raw = r.block(thr_count).reshape(3, channels, half, half)
             kshape = tuple(kernel_shapes[i])
             kernel = r.block(int(np.prod(kshape))).reshape(kshape)
+            if not np.all(np.abs(kernel) <= MAX_ABS_VALUE):
+                raise CorruptWeightsError(
+                    f"layer {i} kernel taps must be finite and within "
+                    f"+-{MAX_ABS_VALUE:g}")
             layers.append(LayerParams(alpha, raw, kernel,
                                       get_family(FAMILY_CYCLE[i % 3])))
         if r.pos != len(r.data):

@@ -13,14 +13,31 @@ and the depth-M composition contracts by the product of the per-layer
 bounds. That product is computed exactly (FFT + per-frequency SVD), making
 the certificate a checkable artifact rather than an estimate.
 
+The layers run in the wavelet domain. The state of a patch is the four
+wavelet bands of the next layer's family, (4C, P/2, P/2), band-major. The
+blend is linear, so it runs on the bands against the observation's bands,
+which :func:`wavelet_state` computes once per family with the dense
+``dwt2``; those products, and the tests, are the only place the dense
+wavelet matrices still run. A layer's synthesis, convolution and the next
+family's analysis are all circular and shift invariant by two, so together
+they are one 4C x 4C matrix per frequency of the half grid's half-spectrum
+(the polyphase form of the filter bank, built from the kernel's spectrum at
+the four aliases of that frequency; :func:`_transfers`). The ll band is
+never thresholded, so it stays a spectrum from layer to layer; only the
+three detail bands pass through ``irfft2``/``rfft2`` around the threshold.
+The last layer maps to the polyphase split of the output image. The
+transfers are built once per forward call and are not cached on the layers.
+
 :func:`network_forward` flattens the leading axes of a batch and cuts it
 with ``np.array_split`` into ``ceil(nbytes / CHUNK_BYTES)`` chunks (at most
 one per patch), so every layer's temporaries stay cache-sized. A batch of
 one chunk runs inline; more run on a thread pool of ``min(chunks, CPUs
-available)`` workers and are concatenated in order. Every stage (stacked
-``matmul``, per-item FFTs, ``einsum``, ufuncs) computes each patch on its
-own, so the output is bitwise equal to the forward of the whole batch at
-once, and every finiteness check still sees every element.
+available)`` workers, each writing its slice of one output array. Every
+stage (the dense analysis, FFTs over the last two axes, ufuncs, and the
+per-frequency mix, one complex multiply-add per matrix entry rather than a
+BLAS product, whose rounding may depend on the number of rows) computes
+each patch on its own, so the output is bitwise equal to the forward of the
+whole batch at once.
 """
 
 import math
@@ -29,11 +46,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .errors import CertificateError, DimensionError, ValidationError
-from .tensorops import (NORM_GUARD, as_image, as_kernel, conv2d_circular,
-                        conv_operator_norm)
-from .wavelets import FAMILY_CYCLE, WaveletFamily, dwt2, get_family, idwt2, soft_threshold_hf
+from .tensorops import NORM_GUARD, as_image, as_kernel, conv_operator_norm
+from .wavelets import (FAMILY_CYCLE, WaveletFamily, dwt2, get_family, shrink,
+                       synthesis_aliases)
 
 ALPHA_MIN = 1e-3
 DEFAULT_EPS = 1e-3
@@ -152,28 +170,217 @@ def gain_denominator(alpha, eps):
     return (1.0 - alpha) + eps
 
 
-def layer_forward(x, y, p, eps, s):
-    """One layer with the kernel normalized by ``s``, and its backward tape.
+def band_layout(bands):
+    """(n, B, C, h, w) bands to the step's layout (nC, B, h, w), band-major."""
+    n, b, c = bands.shape[:3]
+    return bands.transpose(0, 2, 1, 3, 4).reshape((n * c, b) + bands.shape[3:])
 
-    Returns ``(out, (shrunk, u, vraw))``: ``shrunk`` holds the
-    soft-thresholded wavelet coefficients of the blend, ``u`` their
-    synthesis (the prox of the wavelet penalty at the blend, so
-    ``(1 - alpha)``-Lipschitz in ``x``), ``vraw`` the unnormalized
-    convolution of ``u``, and ``out = vraw / ((s + NORM_GUARD) *
-    gain_denominator(alpha, eps))``, one scalar factor. With ``s`` the
-    kernel's norm on the grid of ``x``, the map ``x -> out`` at fixed ``y``
-    is at most ``(1 - alpha) / ((1 - alpha) + eps)``-Lipschitz. Inference
-    discards the tape; training keeps it for backpropagation. Inputs are
-    not validated here.
+
+def band_aliases(fam, grid_h, grid_w):
+    """Complex (4, 4, H/2, W/4 + 1) 2D synthesis: entry ``[e, j]`` takes band
+    j = (a, b) at each frequency of the half grid's half-spectrum to alias
+    e = (e1, e2) of the full grid, pairs flattened row-major (``fam=None``:
+    the polyphase split)."""
+    rows = synthesis_aliases(fam, grid_h).transpose(1, 2, 0)
+    cols = synthesis_aliases(fam, grid_w)[:grid_w // 4 + 1].transpose(1, 2, 0)
+    m = rows[:, None, :, None, :, None] * cols[None, :, None, :, None, :]
+    return m.reshape((4, 4) + m.shape[-2:])
+
+
+def tap_bases(kernel_shape, grid_h, grid_w):
+    """DFT rows ``e^(-2 pi i f t / n)`` for the kernel taps t (centre at 0):
+    (H, k_h) over every row frequency, and (2 (W/4 + 1), k_w) over the
+    column frequencies of the four aliases of the half grid's
+    half-spectrum, e2-major. ``f t`` is reduced mod n first, so the phase
+    is exact."""
+    half_w = grid_w // 2
+
+    def basis(freqs, size, n):
+        return np.exp(-2j * np.pi * (np.outer(freqs, np.arange(size) - size // 2) % n) / n)
+    cols = (np.arange(2)[:, None] * half_w + np.arange(half_w // 2 + 1)).ravel()
+    return (basis(np.arange(grid_h), kernel_shape[-2], grid_h),
+            basis(cols, kernel_shape[-1], grid_w))
+
+
+def _transfers(layers, scales, targets, grid_h, grid_w):
+    """Each layer's per-frequency map from its shrunk bands to its target.
+
+    Layer l's transfer ``t`` is complex (4C, 4C, H/2, W/4 + 1), channels
+    band-major: ``t[s, r]`` is the coefficient of input band-channel s in
+    output r at every frequency of the half grid's half-spectrum, for
+    ``scales[l]`` times (analysis by ``targets[l]``) o conv o (synthesis by
+    the layer's family); a target of None is the polyphase split of the
+    output. The synthesis ``M`` takes the bands to the four aliases of the
+    full grid, where the conv is the kernel's channel matrix at each (a DFT
+    of its taps, centre tap at the origin as in ``conv2d_circular``), and
+    the analysis is ``M^H / 4``. The layers of one (family, target) pair
+    are built together.
     """
-    # wavelet coefficients of the blend, detail subbands soft-thresholded;
-    # one expression, so the blend is freed before the synthesis
-    shrunk = soft_threshold_hf(dwt2((1.0 - p.alpha) * x + p.alpha * y, p.family),
-                               p.thresholds())
-    u = idwt2(shrunk, p.family)
-    vraw = conv2d_circular(u, p.kernel)
+    half_h = grid_h // 2
+    bases, pairs = {}, {}
+    for i, (layer, target) in enumerate(zip(layers, targets)):
+        key = (layer.family.name, target and target.name)
+        pairs.setdefault(key, (layer.family, target, []))[2].append(i)
+    out = [None] * len(layers)
+    for fam, target, idx in pairs.values():
+        # the kernels' spectra at the aliases, (e1 e2, layer, i, o, f1, f2)
+        spec = []
+        for i in idx:
+            kernel = layers[i].kernel * (0.25 * scales[i])
+            if kernel.shape not in bases:
+                bases[kernel.shape] = tap_bases(kernel.shape, grid_h, grid_w)
+            rows, cols = bases[kernel.shape]
+            spec.append(rows @ kernel @ cols.T)
+        c = spec[0].shape[0]
+        k = np.stack(spec).reshape(len(idx), c, c, 2, half_h, 2, -1)
+        k = k.transpose(3, 5, 0, 2, 1, 4, 6).reshape((4, len(idx), c, c, half_h, -1))
+        mi, mo = band_aliases(fam, grid_h, grid_w), np.conj(band_aliases(target, grid_h, grid_w))
+        # sum over the aliases e of M_in[e, J] K[e, o, i] conj(M_out[e, j])
+        t = np.zeros((len(idx), 4, c, 4, c) + k.shape[-2:], dtype=np.complex128)
+        for e in range(4):
+            t += (k[e][:, None, :, None] * (mi[e][:, None] * mo[e][None, :])[:, None, :, None])
+        t = t.reshape((len(idx), 4 * c, 4 * c) + k.shape[-2:])
+        for j, i in enumerate(idx):
+            out[i] = t[j]
+    return out
+
+
+def forward_steps(net, norms):
+    """Per layer the constants of :func:`step` for one forward call: family
+    name, alpha, thresholds (3C, 1, P/2, P/2) and transfer.
+
+    A layer divides by its conv norm on the patch grid in ``norms`` and
+    transfers to the next layer's family, the last one to the polyphase
+    split of the output. The transfers are built here on every call and
+    freed with the list; none is cached on the layers.
+    """
+    scales = [1.0 / ((s + NORM_GUARD) * gain_denominator(layer.alpha, net.eps))
+              for layer, s in zip(net.layers, norms)]
+    targets = [layer.family for layer in net.layers[1:]] + [None]
+    transfers = _transfers(net.layers, scales, targets, net.patch, net.patch)
+    return [(layer.family.name, layer.alpha, _step_thresholds(layer), t)
+            for layer, t in zip(net.layers, transfers)]
+
+
+def _step_thresholds(layer):
+    """The layer's thresholds as (3C, 1, P/2, P/2), to broadcast over a batch."""
+    thr = layer.thresholds()
+    return thr.reshape((-1, 1) + thr.shape[2:])
+
+
+def wavelet_state(x, fam):
+    """(B, C, H, W) images as a state of the step: the spectrum of their ll
+    band, complex (C, B, H/2, W/4 + 1), and their three detail bands,
+    (3C, B, H/2, W/2)."""
+    c = dwt2(x, fam)
+    return (fft.rfft2(band_layout(c.ll[None])),
+            band_layout(np.stack((c.lh, c.hl, c.hh))))
+
+
+def mix(bands, transfer):
+    """``out[r] = sum_s transfer[s, r] * bands[s]`` at every frequency.
+
+    One complex multiply-add per (s, r) over the batch, in ascending s, so
+    each patch's output is computed on its own, the same way in any batch.
+    """
+    out = np.empty((transfer.shape[1],) + bands[0].shape, dtype=np.complex128)
+    tmp = np.empty_like(out[0])
+    for r, out_r in enumerate(out):
+        np.multiply(transfer[0, r], bands[0], out=out_r)
+        for s in range(1, len(bands)):
+            out_r += np.multiply(transfer[s, r], bands[s], out=tmp)
+    return out
+
+
+def step(ll, det, y_state, alpha, thresholds, transfer):
+    """One layer on the wavelet-domain state; returns the next state's
+    spectrum, complex (4C, B, H/2, W/4 + 1), and the tape ``(kept, w)``.
+
+    The state is the spectrum ``ll`` of the ll band and the detail bands
+    ``det``. Both are blended with the observation's state ``y_state``;
+    the blended details are soft-thresholded in place of ``det``, which
+    becomes ``kept``. ``w`` holds the spectra of the shrunk bands, ll and
+    details, and :func:`mix` takes them to the next state with the
+    transfer.
+    """
+    y_ll, y_det = y_state
+    det *= 1.0 - alpha
+    det += alpha * y_det
+    kept = shrink(det, thresholds, out=det)
+    w = ((1.0 - alpha) * ll + alpha * y_ll, fft.rfft2(kept))
+    return mix([*w[0], *w[1]], transfer), (kept, w)
+
+
+def run_steps(state, y_states, steps, tapes=None):
+    """Run every step from ``state``; returns the output image's polyphase
+    spectrum. ``tapes``, if given, gets each layer's input state and tape.
+
+    The detail bands of ``state`` are copied, not overwritten.
+    """
+    ll, det = state
+    det = det.copy()
+    half_h, half_w = det.shape[-2:]
+    c = ll.shape[0]
+    for i, (fam, alpha, thresholds, transfer) in enumerate(steps):
+        state_in = (ll, det.copy()) if tapes is not None else ()
+        out, tape = step(ll, det, y_states[fam], alpha, thresholds, transfer)
+        if tapes is not None:
+            tapes.append(state_in + tape)
+        # the step shrank det in place; dropping it frees the buffer early
+        del tape, det
+        if i + 1 < len(steps):
+            ll = out[:c].copy()
+            det = fft.irfft2(out[c:], s=(half_h, half_w))
+            del out
+    return out
+
+
+def run_network(y, net, steps, x0=None, tapes=None):
+    """The steps of ``net`` on one batch of observations (B, C, P, P),
+    starting from ``x0`` or from ``y``; returns the output's polyphase
+    spectrum and the observation's wavelet state per family."""
+    y_states = {layer.family.name: wavelet_state(y, layer.family)
+                for layer in net.layers[:len(FAMILY_CYCLE)]}
+    fam = net.layers[0].family
+    state = y_states[fam.name] if x0 is None else wavelet_state(x0, fam)
+    return run_steps(state, y_states, steps, tapes), y_states
+
+
+def polyphase_image(spec, half_h, half_w, out=None):
+    """Polyphase spectrum (4C, B, h, w/2 + 1) to (B, C, 2h, 2w) images,
+    written into ``out`` if given."""
+    x = fft.irfft2(spec, s=(half_h, half_w))
+    c, b = x.shape[0] // 4, x.shape[1]
+    x = x.reshape(2, 2, c, b, half_h, half_w).transpose(3, 2, 4, 0, 5, 1)
+    if out is None:
+        out = np.empty((b, c, 2 * half_h, 2 * half_w))
+    out.reshape(x.shape)[...] = x
+    return out
+
+
+def layer_forward(x, y, p, eps, s):
+    """One layer on images with the kernel normalized by ``s``, and its tape.
+
+    Runs :func:`step` from the wavelet state of ``x`` (in ``p``'s family)
+    with the polyphase split as its target, and returns ``(out, (kept,
+    w))``: the image ``out`` of the shape of ``x``, and the step's tape.
+    ``out`` is the soft-thresholded blend ``(1 - alpha) x + alpha y``
+    (the prox of the wavelet penalty at the blend, so ``(1 - alpha)``-
+    Lipschitz in ``x``), synthesized, convolved and scaled by ``1 / ((s +
+    NORM_GUARD) * gain_denominator(alpha, eps))``. With ``s`` the kernel's
+    norm on the grid of ``x``, the map ``x -> out`` at fixed ``y`` is at
+    most ``(1 - alpha) / ((1 - alpha) + eps)``-Lipschitz. ``y`` has the
+    shape of ``x`` or is one image. Inputs are not validated here.
+    """
+    h, w = x.shape[-2:]
     scale = 1.0 / ((s + NORM_GUARD) * gain_denominator(p.alpha, eps))
-    return vraw * scale, (shrunk, u, vraw)
+    steps = [(p.family.name, p.alpha, _step_thresholds(p),
+              _transfers([p], [scale], [None], h, w)[0])]
+    flat = lambda a: a.reshape((-1,) + a.shape[-3:])
+    tapes = []
+    spec = run_steps(wavelet_state(flat(x), p.family),
+                     {p.family.name: wavelet_state(flat(y), p.family)}, steps, tapes)
+    return polyphase_image(spec, h // 2, w // 2).reshape(x.shape), tapes[0][2:]
 
 
 def network_forward(y, net, x0=None):
@@ -184,42 +391,45 @@ def network_forward(y, net, x0=None):
     what the contraction guarantee quantifies: two runs with the same ``y``
     but different ``x0`` approach each other by the certificate's total bound.
 
-    A batch above ``CHUNK_BYTES`` is split into ``ceil(nbytes /
-    CHUNK_BYTES)`` chunks of patches (at most one per patch) that run on
-    ``min(chunks, CPUs available)`` threads; the result is bitwise equal to
-    the unsplit forward. An error raised in any chunk is raised here.
+    The layers run in the wavelet domain (:func:`step`): the observation is
+    analysed once per family, the state once at the start, and the output
+    is the last step's polyphase split. A batch above ``CHUNK_BYTES`` is
+    split into ``ceil(nbytes / CHUNK_BYTES)`` chunks of patches (at most
+    one per patch) that run on ``min(chunks, CPUs available)`` threads; the
+    result is bitwise equal to the unsplit forward. A non-finite output
+    raises ValidationError, from any chunk.
     """
     y = as_image(y)
     if y.shape[-3] != net.channels or y.shape[-2:] != (net.patch, net.patch):
         raise DimensionError(
             f"expected input shape (..., {net.channels}, {net.patch}, "
             f"{net.patch}), got {y.shape}")
-    if x0 is None:
-        x = y
-    else:
-        x = as_image(x0)
-        if x.shape != y.shape:
+    if x0 is not None:
+        x0 = as_image(x0)
+        if x0.shape != y.shape:
             raise DimensionError(
-                f"x0 shape {x.shape} must match observation shape {y.shape}")
-    # both caches are filled here, so worker threads only read them
-    norms = [layer.conv_norm(net.patch, net.patch) for layer in net.layers]
-    for layer in net.layers:
-        layer.thresholds()
-
-    def run(x, y):
-        for layer, s in zip(net.layers, norms):
-            # indexing drops the tape before the next layer runs
-            x = layer_forward(x, y, layer, net.eps, s)[0]
-        return x
-
-    chunks = min(math.ceil(y.nbytes / CHUNK_BYTES), math.prod(y.shape[:-3]))
-    if chunks <= 1:
-        return run(x, y)
+                f"x0 shape {x0.shape} must match observation shape {y.shape}")
+    steps = forward_steps(net, [layer.conv_norm(net.patch, net.patch)
+                                for layer in net.layers])
+    half = net.patch // 2
     flat = (-1,) + y.shape[-3:]
-    with ThreadPoolExecutor(min(chunks, len(os.sched_getaffinity(0)))) as pool:
-        outs = list(pool.map(run, np.array_split(x.reshape(flat), chunks),
-                             np.array_split(y.reshape(flat), chunks)))
-    return np.concatenate(outs).reshape(y.shape)
+    result = np.empty(y.shape).reshape(flat)
+
+    def run(y, x0, out):
+        polyphase_image(run_network(y, net, steps, x0)[0], half, half, out)
+        if not np.all(np.isfinite(out)):
+            raise ValidationError("network output contains non-finite values")
+
+    chunks = max(1, min(math.ceil(y.nbytes / CHUNK_BYTES), math.prod(y.shape[:-3])))
+    parts = [np.array_split(a.reshape(flat), chunks) if a is not None
+             else [None] * chunks for a in (y, x0, result)]
+    if chunks == 1:
+        run(*(p[0] for p in parts))
+    else:
+        with ThreadPoolExecutor(min(chunks, len(os.sched_getaffinity(0)))) as pool:
+            # list() re-raises the first error of any chunk
+            list(pool.map(run, *parts))
+    return result.reshape(y.shape)
 
 
 @dataclass(frozen=True)

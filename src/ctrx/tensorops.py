@@ -21,6 +21,14 @@ covers every singular value of the full grid (Sedghi, Gupta & Long, "The
 Singular Values of Convolutional Layers", ICLR 2019).
 :func:`freq_response` alone returns the full ``H x W`` grid.
 
+The denoiser's layers do not call :func:`conv2d_circular`: ``ctrx.layers``
+folds each layer's convolution, with its wavelet synthesis and the next
+analysis, into one matrix per frequency of the half grid, from the kernel's
+spectrum at the four aliases of that frequency (same centre-tap convention).
+Here the convolution serves the PnP forward models and the dense oracles,
+and it is the reference the tests check those transfers against.
+:func:`conv_operator_norm` still gives every layer its normalizer.
+
 :func:`conv_operator_norm` runs the SVD only on the frequencies that can
 hold the maximum: two upper bounds on each frequency's Gram matrix
 (Gershgorin's and a trace bound), taken on the spectrum scaled by an exact

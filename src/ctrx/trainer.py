@@ -1,14 +1,17 @@
 """Projected gradient training with analytic backprop through every layer.
 
 The loss is mean squared error between the network output and the clean
-target. Linear blocks (wavelet transforms, convolutions, the gradient-step
-blend) backpropagate by their exact adjoints; the soft threshold uses the
-subgradient ``1{|z| > lambda}`` on coefficient paths and ``-sign(z)`` inside
-the active set for the threshold parameters. The convolution normalizer
-``s(K) + NORM_GUARD`` is held constant during differentiation (the
-projection step re-imposes the norm constraint anyway), so gradients are
-exact up to that straight-through choice, which the finite-difference
-checker accounts for.
+target. The backward runs through the forward's own steps
+(:func:`ctrx.layers.step`) on the same spectra: each layer's transfer by its
+conjugate transpose at every frequency, the blend by its scalars, and the
+kernel gradient as the correlation of the conv's input and output gradient
+on the four aliases of each frequency, evaluated at the taps. The soft
+threshold uses the subgradient ``1{|z| > lambda}`` on coefficient paths and
+``-sign(z)`` inside the active set for the threshold parameters. The
+convolution normalizer ``s(K) + NORM_GUARD`` is held constant during
+differentiation (the projection step re-imposes the norm constraint
+anyway), so gradients are exact up to that straight-through choice, which
+the finite-difference checker accounts for.
 
 Optimization is SGD with momentum plus the constraint projection after every
 step, so the contraction certificate holds at every point of training.
@@ -22,12 +25,12 @@ from scipy.special import expit
 
 from .errors import DimensionError, TrainingFailureError, ValidationError
 from .io import Rng, add_awgn, open_new
-from .layers import (LayerParams, NetworkParams, constrain_params,
-                     contraction_certificate, gain_denominator, layer_forward,
-                     network_forward)
+from .layers import (LayerParams, NetworkParams, band_aliases, band_layout,
+                     constrain_params, contraction_certificate, forward_steps,
+                     gain_denominator, network_forward, polyphase_image,
+                     run_network, tap_bases)
 from .metrics import psnr
-from .tensorops import NORM_GUARD, conv2d_circular_adjoint
-from .wavelets import WaveletCoeffs, dwt2, idwt2
+from .tensorops import NORM_GUARD
 
 
 DECAY_FACTOR = 0.1
@@ -73,21 +76,61 @@ def loss_mse(pred, target):
     return float(np.mean((pred - target) ** 2))
 
 
-def _kernel_gradient(u, gv, kshape):
-    """d loss / d kernel for vraw = conv2d_circular(u, K), batch-summed.
+def _rfft_weights(n):
+    """Weight of each ``rfft`` column of a length-n axis in a sum over the
+    full spectrum: 1 for the columns that are their own conjugate (0, and
+    n/2 for even n), 2 for the others."""
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[-1] = 1.0
+    return weight
 
-    ``u`` is (B, c_in, H, W), ``gv`` the upstream gradient (B, c_out, H, W).
-    The cross-correlation runs on the real half-spectrum.
+
+def _spectral_dot(a, b, n):
+    """Inner product of the real signals on an n x n grid whose spectra over
+    the last two axes (``rfft2``) are ``a`` and ``b``, by Parseval."""
+    return float(np.vdot(a * _rfft_weights(n), b).real) / (n * n)
+
+
+def _adjoint(g, transfer):
+    """``out[s] = sum_r conj(transfer[s, r]) * g[r]`` at every frequency: the
+    transfer's conjugate transpose, as one batched product over the
+    frequencies. Unlike the forward's :func:`mix`, its rounding may depend
+    on the batch size, which a batch-summed gradient does not need."""
+    n = g[0, 0].size
+    gm = g.reshape(g.shape[:2] + (n,)).transpose(2, 1, 0)
+    tm = np.conj(transfer.reshape(transfer.shape[:2] + (n,)).transpose(2, 1, 0))
+    return np.matmul(gm, tm).transpose(2, 1, 0).reshape((tm.shape[2],) + g.shape[1:])
+
+
+def _kernel_gradient(w, gout, scale, fam, target, kshape, grid):
+    """d loss / d kernel of one layer, batch-summed, from its spectra.
+
+    ``w`` is the spectrum of the layer's shrunk bands and ``gout`` that of
+    the loss gradient at its output, both (4C, B, h, h/2 + 1). The conv
+    input ``u`` (synthesis by ``fam``) and the gradient ``gv`` at the conv
+    output (``scale`` times the synthesis by ``target``) are formed on the
+    four aliases of the full grid, and their correlation is evaluated at
+    the kernel taps: ``sum_n gv[o, n] u[i, n - t]``, by Parseval on the
+    full grid.
     """
-    h, w = u.shape[-2:]
-    uf = fft.rfft2(u, axes=(-2, -1))
-    gf = fft.rfft2(gv, axes=(-2, -1))
-    corr = fft.irfft2(np.einsum("bihw,bohw->oihw", np.conj(uf), gf),
-                      s=(h, w), axes=(-2, -1))
-    c_out, c_in, kh, kw = kshape
-    rows = (np.arange(kh) - kh // 2) % h
-    cols = (np.arange(kw) - kw // 2) % w
-    return corr[:, :, rows[:, None], cols[None, :]]
+    c, half = w.shape[0] // 4, w.shape[2]
+    n = w[0, 0].size
+
+    def aliases(spec, f):
+        # (frequency, alias, channel, batch)
+        m = band_aliases(f, grid, grid).reshape(4, 4, n).transpose(2, 0, 1)
+        x = spec.reshape(4, -1, n).transpose(2, 0, 1)
+        return np.matmul(m, x).reshape(n, 4, c, -1)
+    u = aliases(w, fam)
+    gv = aliases(gout, target) * scale
+    # every frequency of the half-spectrum stands for its conjugate too
+    corr = np.matmul(gv, np.conj(u).swapaxes(-1, -2)).transpose(2, 3, 1, 0)
+    corr = corr.reshape(c, c, 2, 2, half, -1) * _rfft_weights(half)
+    corr = corr.transpose(0, 1, 2, 4, 3, 5).reshape(c, c, grid, -1)
+    rows, cols = tap_bases(kshape, grid, grid)
+    return (np.conj(rows).T @ corr @ np.conj(cols)).real / (grid * grid)
 
 
 def _conv_norms(net):
@@ -97,22 +140,23 @@ def _conv_norms(net):
 def _forward_collect(net, y, norms):
     """Forward pass at the given conv norms, keeping what backward needs.
 
-    Returns the prediction and, per layer, its input state followed by the
-    tape of :func:`layer_forward`.
+    Runs :func:`run_network` as :func:`network_forward` does on one chunk.
+    Returns the prediction, the steps, the observation's wavelet states
+    and, per layer, its input state followed by its tape.
     """
-    x = y
+    steps = forward_steps(net, norms)
     tapes = []
-    for layer, s in zip(net.layers, norms):
-        out, tape = layer_forward(x, y, layer, net.eps, s)
-        tapes.append((x, *tape))
-        x = out
-    return x, tapes
+    spec, y_states = run_network(y, net, steps, tapes=tapes)
+    half = net.patch // 2
+    return polyphase_image(spec, half, half), steps, y_states, tapes
 
 
 def backward(net, y, target):
     """Loss and analytic parameter gradients for a batch.
 
     ``y`` and ``target`` are (B, C, P, P) (a single image is promoted).
+    The gradient runs back through the same steps: through each transfer
+    by its conjugate transpose, per frequency, on the same spectra.
     """
     y = np.asarray(y, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -122,38 +166,41 @@ def backward(net, y, target):
     if y.shape != target.shape:
         raise DimensionError(f"shapes differ: {y.shape} vs {target.shape}")
     norms = _conv_norms(net)
-    pred, tapes = _forward_collect(net, y, norms)
+    pred, steps, y_states, tapes = _forward_collect(net, y, norms)
     if not np.all(np.isfinite(pred)):
         raise TrainingFailureError("non-finite prediction in forward pass")
     loss = loss_mse(pred, target)
     g = 2.0 * (pred - target) / pred.size
 
+    p, c = net.patch, net.channels
+    half = p // 2
+    # the gradient at the output, as the spectrum of its polyphase split
+    phases = g.reshape(-1, c, half, 2, half, 2).transpose(3, 5, 0, 1, 2, 4)
+    gf = fft.rfft2(band_layout(phases.reshape((4,) + phases.shape[2:])))
+    targets = [layer.family for layer in net.layers[1:]] + [None]
     grads = GradientSet([None] * net.depth, [None] * net.depth, [None] * net.depth)
     for idx in range(net.depth - 1, -1, -1):
         layer = net.layers[idx]
-        x_in, shrunk, u, vraw = tapes[idx]
+        ll_in, det_in, kept, w = tapes[idx]
+        w = np.concatenate(w)
         s = norms[idx]
         denom = gain_denominator(layer.alpha, net.eps)
         scale = 1.0 / ((s + NORM_GUARD) * denom)
-        # out = vraw * scale; alpha enters through denom, d denom/d alpha = -1
-        alpha_grad = float(np.sum(g * vraw) / (s + NORM_GUARD) / denom ** 2)
-        gv = g * scale
-        kernel_grad = _kernel_gradient(u, gv, layer.kernel.shape)
-        gu = conv2d_circular_adjoint(gv, layer.kernel)
-        gc = dwt2(gu, layer.family)
-        lam_grad = np.empty_like(layer.raw_thresholds)
-        detail_grads = []
-        for i, (band, kept) in enumerate(zip((gc.lh, gc.hl, gc.hh),
-                                             (shrunk.lh, shrunk.hl, shrunk.hh))):
-            # kept = sign(z) * max(|z| - lambda, 0) is nonzero exactly where
-            # |z| > lambda; there d kept/dz = 1 and d kept/d lambda = -sign(kept)
-            active = band * (kept != 0)
-            lam_grad[i] = -np.sum(np.sign(kept) * active, axis=0)
-            detail_grads.append(active)
-        raw_grad = lam_grad * expit(layer.raw_thresholds)
-        gz = idwt2(WaveletCoeffs(gc.ll, *detail_grads), layer.family)
-        alpha_grad += float(np.sum(gz * (y - x_in)))
-        g = (1.0 - layer.alpha) * gz
+        gw = _adjoint(gf, steps[idx][3])
+        # out = scale * ...; alpha enters through denom, d denom/d alpha = -1
+        alpha_grad = _spectral_dot(gw, w, half) / denom
+        kernel_grad = _kernel_gradient(w, gf, scale, layer.family, targets[idx],
+                                       layer.kernel.shape, p)
+        # kept = sign(z) * max(|z| - lambda, 0) is nonzero exactly where
+        # |z| > lambda; there d kept/dz = 1 and d kept/d lambda = -sign(kept)
+        g_det = fft.irfft2(gw[c:], s=(half, half)) * (kept != 0)
+        lam_grad = -np.sum(np.sign(kept) * g_det, axis=1)
+        raw_grad = lam_grad.reshape(layer.raw_thresholds.shape) * expit(layer.raw_thresholds)
+        y_ll, y_det = y_states[layer.family.name]
+        alpha_grad += (_spectral_dot(gw[:c], y_ll - ll_in, half)
+                       + float(np.sum(g_det * (y_det - det_in))))
+        if idx:
+            gf = (1.0 - layer.alpha) * np.concatenate((gw[:c], fft.rfft2(g_det)))
         grads.alpha[idx] = alpha_grad
         grads.raw_thresholds[idx] = raw_grad
         grads.kernel[idx] = kernel_grad
@@ -163,11 +210,9 @@ def backward(net, y, target):
 
 
 def _loss_and_masks(net, y, target, norms):
-    """Loss at the given conv norms and every layer's threshold masks."""
-    pred, tapes = _forward_collect(net, y, norms)
-    masks = [band != 0 for _, shrunk, _, _ in tapes
-             for band in (shrunk.lh, shrunk.hl, shrunk.hh)]
-    return loss_mse(pred, target), masks
+    """Loss at the given conv norms and every layer's threshold mask."""
+    pred, _, _, tapes = _forward_collect(net, y, norms)
+    return loss_mse(pred, target), [tape[2] != 0 for tape in tapes]
 
 
 def _perturbed_net(net, layer_idx, kind, coord, delta):

@@ -4,7 +4,16 @@ Ships Haar, Daubechies-4 (db4, 8 taps) and Symlet-4 (sym4, 8 taps) filter
 banks. Along an axis of even length n the periodized filter bank is one
 orthogonal n x n matrix A (lowpass outputs, then highpass), so analysis is
 ``A_H @ x @ A_W.T`` and synthesis, its inverse and adjoint, applies the
-transposes.
+transposes. These dense products run once per family on the observation of
+a network forward (and in the tests); the layers themselves never leave the
+wavelet domain.
+
+The layers apply the filter bank in its polyphase form (Vaidyanathan,
+*Multirate Systems and Filter Banks*, 1993): the band outputs are shift
+invariant by two, so on the n/2 grid every frequency w couples only the two
+bands and the two aliases w, w + n/2 of the n grid. :func:`synthesis_aliases`
+gives that 2 x 2 matrix per frequency, built from the rows of A and cached
+like A.
 
 Subband naming is (row filter, column filter): ``lh`` is lowpass over rows
 and highpass over columns, ``hl`` the reverse, ``hh`` highpass in both.
@@ -113,6 +122,38 @@ def _analysis_matrix(fam, n):
     return _MATRICES[key]
 
 
+_ALIASES = {}
+
+
+def synthesis_aliases(fam, n):
+    """Complex (n/2, 2, 2) synthesis along an axis of even length n, per frequency.
+
+    Entry ``[w, e, b]`` takes band b's spectrum (b = 0 lowpass, 1 highpass)
+    at frequency w of the n/2 grid to the synthesized signal's spectrum at
+    frequency w + e n/2 of the n grid; both spectra are unnormalized DFTs.
+    ``fam=None`` is the polyphase split instead, band b holding the samples
+    ``x[2j + b]``. Each matrix is sqrt(2) times a unitary one, so the
+    analysis of the same frequency is its conjugate transpose over 2.
+    Read-only and cached per taps and n, like :func:`_analysis_matrix`.
+    """
+    key = (n,) if fam is None else (fam.lowpass.tobytes(), fam.highpass.tobytes(), n)
+    if key not in _ALIASES:
+        half = n // 2
+        # spectrum of sample phase p at alias e: (-1)^(e p) e^(-2 pi i w p / n)
+        phase = np.exp(-2j * np.pi * np.arange(half) / n)
+        m = np.ones((half, 2, 2), dtype=np.complex128)
+        m[:, 0, 1] = phase
+        m[:, 1, 1] = -phase
+        if fam is not None:
+            # band b's output j reads x[2(j + d) + p] with weight A[b n/2, 2d + p],
+            # so the polyphase synthesis is the DFT of those weights over d
+            taps = _analysis_matrix(fam, n)[[0, half]].reshape(2, half, 2)
+            m = m @ np.fft.fft(taps, axis=1).transpose(1, 2, 0)
+        m.flags.writeable = False
+        _ALIASES[key] = m
+    return _ALIASES[key]
+
+
 def dwt2(x, fam):
     """Single-level periodized 2D analysis, applied independently per channel.
 
@@ -154,12 +195,18 @@ def soft_threshold_hf(c, thr):
     if not np.all(thr > 0):
         raise ValidationError("all thresholds must be strictly positive")
 
-    def shrink(z, lam):
-        return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
-
     return WaveletCoeffs(
         ll=c.ll,
         lh=shrink(c.lh, thr[0]),
         hl=shrink(c.hl, thr[1]),
         hh=shrink(c.hh, thr[2]),
     )
+
+
+def shrink(z, lam, out=None):
+    """Soft threshold ``sign(z) * max(|z| - lam, 0)``, into ``out`` if given
+    (which may be ``z``)."""
+    mag = np.abs(z)
+    mag -= lam
+    np.maximum(mag, 0.0, out=mag)
+    return np.copysign(mag, z, out=mag if out is None else out)

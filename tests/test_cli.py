@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ctrx.cli import main
 from ctrx.io import Rng, add_awgn, load_weights, read_image, save_weights, write_image
-from ctrx.layers import init_network, network_forward
+from ctrx.layers import LayerParams, NetworkParams, init_network, network_forward
 from ctrx.metrics import psnr
 from ctrx.pnp import ForwardModel, apply_forward, gaussian_blur
 from ctrx.trainer import TrainConfig, synth_patches, train
@@ -146,6 +146,22 @@ def test_certify_malformed_weights_exits_3(crafted_weights, capsys):
                        capsys)
     assert code == 3
     assert "malformed weights file" in err
+
+
+def test_certify_rejects_kernel_taps_beyond_the_bound_exits_3(tmp_path, capsys):
+    # taps of 1e308 are finite, but their spectrum overflows: the SVD of the
+    # normalizer used to fail inside LAPACK with a traceback and exit 1
+    net = init_network(depth=1, patch=8, channels=2, seed=0)
+    layer = net.layers[0]
+    huge = LayerParams(layer.alpha, layer.raw_thresholds,
+                       np.full_like(layer.kernel, 1e308), layer.family)
+    wpath = tmp_path / "huge.ctrx"
+    save_weights(wpath, NetworkParams([huge], eps=net.eps, patch=8, channels=2))
+    code, out, err = run(["certify", "--weights", str(wpath)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "weights error: layer 0 kernel taps must be finite and within +-1e+64"]
 
 
 def test_denoise_missing_input_exits_4(tmp_path, capsys):
@@ -474,6 +490,23 @@ def test_perturb_rejects_bad_specs_with_exit_2(tmp_path, capsys, spec):
     assert code == 2
     assert "perturbation spec" in err
     assert "delta_norm" not in out
+
+
+@pytest.mark.parametrize("spec", ["scale:1e300", "awgn:1e308", "scale:-1e70"])
+def test_perturb_beyond_the_input_bound_exits_2(tmp_path, capsys, spec):
+    # the perturbed image is held to the bound of an input image, so no
+    # overflow warning (an error under this suite) and no inf or nan ratio
+    wpath = tmp_path / "w.ctrx"
+    save_weights(wpath, init_network(depth=2, patch=16, channels=1, seed=0))
+    src = tmp_path / "x.raw"
+    write_image(src, np.random.default_rng(10).random((1, 32, 32)))
+    code, out, err = run(["perturb", "--in", str(src), "--perturb", spec,
+                          "--weights", str(wpath)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: bad perturbation spec {spec!r}: the perturbed image must stay "
+        f"within +-1e+64"]
 
 
 def test_metrics_command(tmp_path, capsys):

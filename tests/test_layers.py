@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import fft
 
 import ctrx.layers
 from ctrx.errors import DimensionError, ValidationError
 from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, constrain_params,
-                         contraction_certificate, init_network, layer_forward,
-                         network_forward, softplus, softplus_inverse)
-from ctrx.tensorops import NORM_GUARD, conv_operator_norm
+                         contraction_certificate, gain_denominator, init_network,
+                         layer_forward, network_forward, softplus, softplus_inverse)
+from ctrx.tensorops import NORM_GUARD, conv2d_circular, conv_operator_norm
 from ctrx.trainer import backward, loss_mse
-from ctrx.wavelets import dwt2, get_family, idwt2
+from ctrx.wavelets import FAMILY_CYCLE, dwt2, get_family, idwt2, soft_threshold_hf
 
 
 def make_layer(alpha=0.5, channels=1, patch=8, seed=0, family="haar",
@@ -22,8 +25,12 @@ def make_layer(alpha=0.5, channels=1, patch=8, seed=0, family="haar",
 
 
 def prox_block(x, y, p):
-    # the tape's u: the synthesis of the shrunk coefficients of the blend
-    return layer_forward(x, y, p, 1e-3, 1.0)[1][1]
+    # the synthesis of the shrunk coefficients of the blend: the layer with a
+    # 1x1 identity kernel at s = 1, its gain multiplied back out
+    eye = np.eye(p.kernel.shape[0])[:, :, None, None]
+    identity = LayerParams(p.alpha, p.raw_thresholds, eye, p.family)
+    gain = (1.0 + NORM_GUARD) * gain_denominator(p.alpha, 1e-3)
+    return layer_forward(x, y, identity, 1e-3, 1.0)[0] * gain
 
 
 def layer_out(x, y, p, eps):
@@ -411,3 +418,99 @@ def test_init_network_is_certified():
         assert ALPHA_MIN <= layer.alpha <= 1 - ALPHA_MIN
         budget = 1.0 / ((1 - layer.alpha) + net.eps)
         assert layer.conv_norm(16, 16) <= budget + 1e-9
+
+
+def apply_transfer(bands, transfer):
+    half = bands.shape[-1]
+    return fft.irfft2(ctrx.layers.mix(fft.rfft2(bands), transfer), s=(half, half))
+
+
+# every consecutive pair of the family cycle, and the spatial target
+TRANSFER_PAIRS = [(FAMILY_CYCLE[i], FAMILY_CYCLE[(i + 1) % 3]) for i in range(3)] + [
+    (name, None) for name in FAMILY_CYCLE]
+
+
+@st.composite
+def transfer_cases(draw):
+    fam, target = draw(st.sampled_from(TRANSFER_PAIRS))
+    size = draw(st.sampled_from([1, 3, 5]))
+    patch = 2 * draw(st.integers(max(2, (size + 1) // 2), 32))
+    return (fam, target, draw(st.integers(1, 3)), size, patch,
+            draw(st.floats(0.1, 10.0)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=transfer_cases())
+def test_transfer_matches_the_spatial_chain(spatial_transfer, case):
+    fam, target, c, size, patch, scale, seed = case
+    rng = np.random.default_rng(seed)
+    kernel = rng.standard_normal((c, c, size, size))
+    fam = get_family(fam)
+    target = target and get_family(target)
+    layer = LayerParams(0.5, np.zeros((3, c, patch // 2, patch // 2)), kernel, fam)
+    transfer = ctrx.layers._transfers([layer], [scale], [target], patch, patch)[0]
+    assert transfer.shape == (4 * c, 4 * c, patch // 2, patch // 4 + 1)
+    bands = rng.standard_normal((4 * c, 2, patch // 2, patch // 2))
+    want = spatial_transfer(bands, kernel, scale, fam, target)
+    got = apply_transfer(bands, transfer)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the trainer's adjoint, the conjugate transpose at every frequency,
+    # is the transpose of the map
+    g = rng.standard_normal(bands.shape)
+    adjoint = apply_transfer(g, np.conj(transfer).swapaxes(0, 1))
+    lhs, rhs = np.sum(got * g), np.sum(bands * adjoint)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(got) * np.linalg.norm(g)
+
+
+def reference_forward(y, net, x0=None):
+    """The network in space: blend, dwt2, soft_threshold_hf, idwt2 and
+    conv2d_circular per layer, as the layers were first written."""
+    x = y if x0 is None else x0
+    for layer in net.layers:
+        s = layer.conv_norm(net.patch, net.patch)
+        u = idwt2(soft_threshold_hf(dwt2((1 - layer.alpha) * x + layer.alpha * y,
+                                         layer.family), layer.thresholds()),
+                  layer.family)
+        x = conv2d_circular(u, layer.kernel) / (
+            (s + NORM_GUARD) * gain_denominator(layer.alpha, net.eps))
+    return x
+
+
+@pytest.mark.parametrize("channels, patch, depth", [(1, 16, 7), (3, 8, 5), (1, 64, 4)])
+@pytest.mark.parametrize("with_x0", [False, True])
+def test_network_forward_matches_the_spatial_chain(channels, patch, depth, with_x0):
+    net = init_network(depth=depth, patch=patch, channels=channels, seed=30)
+    rng = np.random.default_rng(31)
+    y = rng.random((5, channels, patch, patch))
+    x0 = rng.standard_normal(y.shape) if with_x0 else None
+    want = reference_forward(y, net, x0)
+    got = network_forward(y, net, x0=x0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_layer_forward_matches_the_spatial_chain():
+    net = init_network(depth=1, patch=16, channels=2, seed=32)
+    rng = np.random.default_rng(33)
+    y = rng.random((2, 16, 16))
+    x = rng.standard_normal((4, 2, 16, 16))
+    layer = net.layers[0]
+    s = layer.conv_norm(16, 16)
+    one = NetworkParams([layer], eps=net.eps, patch=16, channels=2)
+    want = reference_forward(np.broadcast_to(y, x.shape), one, x)
+    got = layer_forward(x, y, layer, net.eps, s)[0]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_forward_analyses_the_observation_once_per_family(monkeypatch):
+    # the layers stay in the wavelet domain: one dwt2 per family and chunk,
+    # one more for x0, and no synthesis or spatial convolution at all
+    calls = []
+    real = ctrx.layers.dwt2
+    monkeypatch.setattr(ctrx.layers, "dwt2", lambda x, fam: calls.append(fam.name) or real(x, fam))
+    net = init_network(depth=7, patch=16, channels=1, seed=34)
+    y = np.random.default_rng(35).random((3, 1, 16, 16))
+    network_forward(y, net)
+    assert sorted(calls) == sorted(FAMILY_CYCLE)
+    calls.clear()
+    network_forward(y, net, x0=y + 0.1)
+    assert sorted(calls) == sorted(FAMILY_CYCLE + ("haar",))

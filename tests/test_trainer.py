@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy import fft
 
 from ctrx.errors import DimensionError, TrainingFailureError, ValidationError
 from ctrx.io import Rng, add_awgn
 from ctrx.layers import contraction_certificate, init_network, network_forward
 from ctrx.metrics import psnr
-from ctrx.tensorops import conv2d_circular
+from ctrx.wavelets import get_family
 from ctrx.trainer import (EpochStats, GradCheckReport, TrainConfig,
                           _kernel_gradient, backward, curve_to_csv, grad_check,
                           load_patch_dataset, loss_mse, synth_patches, train)
@@ -55,21 +56,26 @@ def test_backward_matches_network_forward_loss():
     assert loss == pytest.approx(loss_mse(network_forward(y, net), target), rel=1e-12)
 
 
-@pytest.mark.parametrize("h, w", [(5, 8), (8, 7), (7, 9)])
-def test_kernel_gradient_matches_the_conv_on_odd_grids(h, w):
-    # sum(conv2d_circular(u, K) * gv) is linear in K; its gradient, batch
-    # summed, must come back on the full H x W grid for odd widths too
-    rng = np.random.default_rng(h * 16 + w)
-    u = rng.standard_normal((2, 3, h, w))
-    gv = rng.standard_normal((2, 2, h, w))
-    shape = (2, 3, 3, 5)
+@pytest.mark.parametrize("patch, fam, target", [
+    (8, "haar", "db4"), (10, "db4", "sym4"), (6, "sym4", None), (16, "sym4", "haar")])
+def test_kernel_gradient_matches_the_spatial_chain(spatial_transfer, patch, fam, target):
+    # <gout, scale * analysis(conv(synthesis(w), K))> is linear in K; its
+    # gradient, batch summed, comes from the spectra alone, half grids of
+    # odd size (patch 10 and 6) included
+    rng = np.random.default_rng(patch)
+    half = patch // 2
+    fam, target = get_family(fam), target and get_family(target)
+    bands = rng.standard_normal((8, 3, half, half))
+    gout = rng.standard_normal((8, 3, half, half))
+    shape = (2, 2, 3, 5)
     want = np.empty(shape)
     for idx in np.ndindex(shape):
         basis = np.zeros(shape)
         basis[idx] = 1.0
-        want[idx] = np.sum(conv2d_circular(u, basis) * gv)
-    np.testing.assert_allclose(_kernel_gradient(u, gv, shape), want,
-                               rtol=0, atol=1e-12)
+        want[idx] = np.sum(gout * spatial_transfer(bands, basis, 0.7, fam, target))
+    got = _kernel_gradient(fft.rfft2(bands), fft.rfft2(gout), 0.7, fam, target,
+                           shape, patch)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_grad_check_small_net():
