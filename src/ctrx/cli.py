@@ -192,6 +192,10 @@ def cmd_metrics(args):
 
 def cmd_train(args):
     seed = _seed(args)
+    # the network first: it names a bad patch size before the data does
+    net = init_network(depth=args.depth, patch=args.patch,
+                       channels=args.channels, kernel_size=args.kernel_size,
+                       eps=args.eps, seed=seed)
     if args.data:
         names = [n for n in sorted(os.listdir(args.data))
                  if n.endswith((".pgm", ".ppm", ".raw"))]
@@ -209,9 +213,6 @@ def cmd_train(args):
                                 seed=seed + 1)
     n_val = max(1, dataset.shape[0] // 10)
     val, dataset = dataset[:n_val], dataset[n_val:]
-    net = init_network(depth=args.depth, patch=args.patch,
-                       channels=args.channels, kernel_size=args.kernel_size,
-                       eps=args.eps, seed=seed)
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch,
                       sigma=args.sigma / 255.0, seed=seed)
     trained, curve = train(net, dataset, cfg, val_dataset=val)

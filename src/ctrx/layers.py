@@ -25,8 +25,9 @@ they are one 4C x 4C matrix per frequency of the half grid's half-spectrum
 the four aliases of that frequency; :func:`_transfers`). The ll band is
 never thresholded, so it stays a spectrum from layer to layer; only the
 three detail bands pass through ``irfft2``/``rfft2`` around the threshold.
-The last layer maps to the polyphase split of the output image. The
-transfers are built once per forward call and are not cached on the layers.
+The last layer maps to the polyphase split of the output image. Every
+forward, on any grid, builds its constants with :func:`forward_steps` and
+runs them with :func:`run_network`.
 
 :func:`network_forward` flattens the leading axes of a batch and cuts it
 with ``np.array_split`` into ``ceil(nbytes / CHUNK_BYTES)`` chunks (at most
@@ -159,6 +160,10 @@ class NetworkParams:
     def depth(self):
         return len(self.layers)
 
+    def conv_norms(self):
+        """Every layer's conv norm on the patch grid."""
+        return [layer.conv_norm(self.patch, self.patch) for layer in self.layers]
+
 
 def gain_denominator(alpha, eps):
     """``(1 - alpha) + eps``: each layer scales its normalized conv by the
@@ -245,27 +250,22 @@ def _transfers(layers, scales, targets, grid_h, grid_w):
     return out
 
 
-def forward_steps(net, norms):
-    """Per layer the constants of :func:`step` for one forward call: family
-    name, alpha, thresholds (3C, 1, P/2, P/2) and transfer.
+def forward_steps(layers, eps, norms, grid_h, grid_w):
+    """Per layer the constants of :func:`step` on a grid_h x grid_w grid:
+    family, target, alpha, scale, thresholds (3C, 1, H/2, W/2) and transfer.
 
-    A layer divides by its conv norm on the patch grid in ``norms`` and
-    transfers to the next layer's family, the last one to the polyphase
-    split of the output. The transfers are built here on every call and
-    freed with the list; none is cached on the layers.
+    The one place they are computed: a layer's conv is scaled by one over
+    its norm in ``norms`` (plus NORM_GUARD) times its gain denominator, and
+    its target is the next layer's family, None (the polyphase split of the
+    output) for the last. Built on every call and freed with the list.
     """
-    scales = [1.0 / ((s + NORM_GUARD) * gain_denominator(layer.alpha, net.eps))
-              for layer, s in zip(net.layers, norms)]
-    targets = [layer.family for layer in net.layers[1:]] + [None]
-    transfers = _transfers(net.layers, scales, targets, net.patch, net.patch)
-    return [(layer.family.name, layer.alpha, _step_thresholds(layer), t)
-            for layer, t in zip(net.layers, transfers)]
-
-
-def _step_thresholds(layer):
-    """The layer's thresholds as (3C, 1, P/2, P/2), to broadcast over a batch."""
-    thr = layer.thresholds()
-    return thr.reshape((-1, 1) + thr.shape[2:])
+    scales = [1.0 / ((s + NORM_GUARD) * gain_denominator(layer.alpha, eps))
+              for layer, s in zip(layers, norms)]
+    targets = [layer.family for layer in layers[1:]] + [None]
+    transfers = _transfers(layers, scales, targets, grid_h, grid_w)
+    return [(layer.family, target, layer.alpha, scale,
+             layer.thresholds().reshape((-1, 1) + layer.raw_thresholds.shape[2:]), t)
+            for layer, target, scale, t in zip(layers, targets, scales, transfers)]
 
 
 def wavelet_state(x, fam):
@@ -311,39 +311,33 @@ def step(ll, det, y_state, alpha, thresholds, transfer):
     return mix([*w[0], *w[1]], transfer), (kept, w)
 
 
-def run_steps(state, y_states, steps, tapes=None):
-    """Run every step from ``state``; returns the output image's polyphase
-    spectrum. ``tapes``, if given, gets each layer's input state and tape.
+def run_network(y, steps, x0=None, tapes=None, out=None):
+    """The one runner of :func:`step`: ``steps`` on observations (B, C, H,
+    W), or one (B = 1) for every state, from ``x0`` or from ``y``.
 
-    The detail bands of ``state`` are copied, not overwritten.
+    Returns the output images, written into ``out`` if given, and the
+    observation's wavelet state per family. ``tapes``, if given, gets each
+    layer's input state and tape.
     """
-    ll, det = state
-    det = det.copy()
+    families = {fam.name: fam for fam, *_ in steps}
+    y_states = {name: wavelet_state(y, fam) for name, fam in families.items()}
+    fam = steps[0][0]
+    ll, det = y_states[fam.name] if x0 is None else wavelet_state(x0, fam)
+    det = det.copy()  # each step shrinks det in place; y's bands must stay
     half_h, half_w = det.shape[-2:]
     c = ll.shape[0]
-    for i, (fam, alpha, thresholds, transfer) in enumerate(steps):
+    for i, (fam, _, alpha, _, thresholds, transfer) in enumerate(steps):
         state_in = (ll, det.copy()) if tapes is not None else ()
-        out, tape = step(ll, det, y_states[fam], alpha, thresholds, transfer)
+        spec, tape = step(ll, det, y_states[fam.name], alpha, thresholds, transfer)
         if tapes is not None:
             tapes.append(state_in + tape)
         # the step shrank det in place; dropping it frees the buffer early
         del tape, det
         if i + 1 < len(steps):
-            ll = out[:c].copy()
-            det = fft.irfft2(out[c:], s=(half_h, half_w))
-            del out
-    return out
-
-
-def run_network(y, net, steps, x0=None, tapes=None):
-    """The steps of ``net`` on one batch of observations (B, C, P, P),
-    starting from ``x0`` or from ``y``; returns the output's polyphase
-    spectrum and the observation's wavelet state per family."""
-    y_states = {layer.family.name: wavelet_state(y, layer.family)
-                for layer in net.layers[:len(FAMILY_CYCLE)]}
-    fam = net.layers[0].family
-    state = y_states[fam.name] if x0 is None else wavelet_state(x0, fam)
-    return run_steps(state, y_states, steps, tapes), y_states
+            ll = spec[:c].copy()
+            det = fft.irfft2(spec[c:], s=(half_h, half_w))
+            del spec
+    return polyphase_image(spec, half_h, half_w, out), y_states
 
 
 def polyphase_image(spec, half_h, half_w, out=None):
@@ -361,9 +355,9 @@ def polyphase_image(spec, half_h, half_w, out=None):
 def layer_forward(x, y, p, eps, s):
     """One layer on images with the kernel normalized by ``s``, and its tape.
 
-    Runs :func:`step` from the wavelet state of ``x`` (in ``p``'s family)
-    with the polyphase split as its target, and returns ``(out, (kept,
-    w))``: the image ``out`` of the shape of ``x``, and the step's tape.
+    Runs the layer's one step on the grid of ``x`` from ``x``, and returns
+    ``(out, (kept, w))``: the image ``out`` of the shape of ``x``, and the
+    step's tape.
     ``out`` is the soft-thresholded blend ``(1 - alpha) x + alpha y``
     (the prox of the wavelet penalty at the blend, so ``(1 - alpha)``-
     Lipschitz in ``x``), synthesized, convolved and scaled by ``1 / ((s +
@@ -372,15 +366,11 @@ def layer_forward(x, y, p, eps, s):
     most ``(1 - alpha) / ((1 - alpha) + eps)``-Lipschitz. ``y`` has the
     shape of ``x`` or is one image. Inputs are not validated here.
     """
-    h, w = x.shape[-2:]
-    scale = 1.0 / ((s + NORM_GUARD) * gain_denominator(p.alpha, eps))
-    steps = [(p.family.name, p.alpha, _step_thresholds(p),
-              _transfers([p], [scale], [None], h, w)[0])]
     flat = lambda a: a.reshape((-1,) + a.shape[-3:])
     tapes = []
-    spec = run_steps(wavelet_state(flat(x), p.family),
-                     {p.family.name: wavelet_state(flat(y), p.family)}, steps, tapes)
-    return polyphase_image(spec, h // 2, w // 2).reshape(x.shape), tapes[0][2:]
+    out, _ = run_network(flat(y), forward_steps([p], eps, [s], *x.shape[-2:]),
+                         flat(x), tapes)
+    return out.reshape(x.shape), tapes[0][2:]
 
 
 def network_forward(y, net, x0=None):
@@ -409,14 +399,12 @@ def network_forward(y, net, x0=None):
         if x0.shape != y.shape:
             raise DimensionError(
                 f"x0 shape {x0.shape} must match observation shape {y.shape}")
-    steps = forward_steps(net, [layer.conv_norm(net.patch, net.patch)
-                                for layer in net.layers])
-    half = net.patch // 2
+    steps = forward_steps(net.layers, net.eps, net.conv_norms(), net.patch, net.patch)
     flat = (-1,) + y.shape[-3:]
     result = np.empty(y.shape).reshape(flat)
 
     def run(y, x0, out):
-        polyphase_image(run_network(y, net, steps, x0)[0], half, half, out)
+        run_network(y, steps, x0, out=out)
         if not np.all(np.isfinite(out)):
             raise ValidationError("network output contains non-finite values")
 
@@ -466,8 +454,7 @@ def contraction_certificate(net):
     per_layer = []
     total = 1.0
     obs = 1.0
-    for i, layer in enumerate(net.layers):
-        s = layer.conv_norm(net.patch, net.patch)
+    for i, (layer, s) in enumerate(zip(net.layers, net.conv_norms())):
         denom = gain_denominator(layer.alpha, net.eps)
         conv_factor = min(1.0, s / (s + NORM_GUARD))
         bound = ((1.0 - layer.alpha) / denom) * conv_factor
@@ -497,10 +484,9 @@ def constrain_params(net):
     untouched.
     """
     constrained = []
-    for layer in net.layers:
+    for layer, s in zip(net.layers, net.conv_norms()):
         alpha = float(np.clip(layer.alpha, ALPHA_MIN, 1.0 - ALPHA_MIN))
         budget = 1.0 / gain_denominator(alpha, net.eps)
-        s = layer.conv_norm(net.patch, net.patch)
         if s <= budget:
             kernel, cache = layer.kernel, dict(layer._norm_cache)
         else:

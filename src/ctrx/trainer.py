@@ -1,8 +1,9 @@
 """Projected gradient training with analytic backprop through every layer.
 
 The loss is mean squared error between the network output and the clean
-target. The backward runs through the forward's own steps
-(:func:`ctrx.layers.step`) on the same spectra: each layer's transfer by its
+target. The forward is inference's: :func:`ctrx.layers.run_network` on the
+steps of :func:`ctrx.layers.forward_steps`, keeping every tape. The backward
+runs through the same steps on the same spectra: each transfer by its
 conjugate transpose at every frequency, the blend by its scalars, and the
 kernel gradient as the correlation of the conv's input and output gradient
 on the four aliases of each frequency, evaluated at the taps. The soft
@@ -27,10 +28,8 @@ from .errors import DimensionError, TrainingFailureError, ValidationError
 from .io import Rng, add_awgn, open_new
 from .layers import (LayerParams, NetworkParams, band_aliases, band_layout,
                      constrain_params, contraction_certificate, forward_steps,
-                     gain_denominator, network_forward, polyphase_image,
-                     run_network, tap_bases)
+                     gain_denominator, network_forward, run_network, tap_bases)
 from .metrics import psnr
-from .tensorops import NORM_GUARD
 
 
 DECAY_FACTOR = 0.1
@@ -133,22 +132,18 @@ def _kernel_gradient(w, gout, scale, fam, target, kshape, grid):
     return (np.conj(rows).T @ corr @ np.conj(cols)).real / (grid * grid)
 
 
-def _conv_norms(net):
-    return [layer.conv_norm(net.patch, net.patch) for layer in net.layers]
-
-
-def _forward_collect(net, y, norms):
-    """Forward pass at the given conv norms, keeping what backward needs.
-
-    Runs :func:`run_network` as :func:`network_forward` does on one chunk.
-    Returns the prediction, the steps, the observation's wavelet states
-    and, per layer, its input state followed by its tape.
-    """
-    steps = forward_steps(net, norms)
-    tapes = []
-    spec, y_states = run_network(y, net, steps, tapes=tapes)
-    half = net.patch // 2
-    return polyphase_image(spec, half, half), steps, y_states, tapes
+def _patches(data, net, name):
+    """``data`` as float64 (N, C, P, P) patches of ``net``, checked to be
+    of that shape, non-empty and finite; ``name`` names it in errors."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 4 or data.shape[1:] != (net.channels, net.patch, net.patch):
+        raise DimensionError(f"{name} must be (N, {net.channels}, {net.patch}, "
+                             f"{net.patch}), got {data.shape}")
+    if data.shape[0] == 0:
+        raise ValidationError(f"{name} is empty")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{name} contains non-finite values")
+    return data
 
 
 def backward(net, y, target):
@@ -163,10 +158,12 @@ def backward(net, y, target):
     if y.ndim == 3:
         y = y[None]
         target = target[None]
+    y = _patches(y, net, "the batch")
     if y.shape != target.shape:
         raise DimensionError(f"shapes differ: {y.shape} vs {target.shape}")
-    norms = _conv_norms(net)
-    pred, steps, y_states, tapes = _forward_collect(net, y, norms)
+    steps = forward_steps(net.layers, net.eps, net.conv_norms(), net.patch, net.patch)
+    tapes = []
+    pred, y_states = run_network(y, steps, tapes=tapes)
     if not np.all(np.isfinite(pred)):
         raise TrainingFailureError("non-finite prediction in forward pass")
     loss = loss_mse(pred, target)
@@ -177,26 +174,23 @@ def backward(net, y, target):
     # the gradient at the output, as the spectrum of its polyphase split
     phases = g.reshape(-1, c, half, 2, half, 2).transpose(3, 5, 0, 1, 2, 4)
     gf = fft.rfft2(band_layout(phases.reshape((4,) + phases.shape[2:])))
-    targets = [layer.family for layer in net.layers[1:]] + [None]
     grads = GradientSet([None] * net.depth, [None] * net.depth, [None] * net.depth)
     for idx in range(net.depth - 1, -1, -1):
         layer = net.layers[idx]
+        fam, target, _, scale, _, transfer = steps[idx]
         ll_in, det_in, kept, w = tapes[idx]
         w = np.concatenate(w)
-        s = norms[idx]
         denom = gain_denominator(layer.alpha, net.eps)
-        scale = 1.0 / ((s + NORM_GUARD) * denom)
-        gw = _adjoint(gf, steps[idx][3])
+        gw = _adjoint(gf, transfer)
         # out = scale * ...; alpha enters through denom, d denom/d alpha = -1
         alpha_grad = _spectral_dot(gw, w, half) / denom
-        kernel_grad = _kernel_gradient(w, gf, scale, layer.family, targets[idx],
-                                       layer.kernel.shape, p)
+        kernel_grad = _kernel_gradient(w, gf, scale, fam, target, layer.kernel.shape, p)
         # kept = sign(z) * max(|z| - lambda, 0) is nonzero exactly where
         # |z| > lambda; there d kept/dz = 1 and d kept/d lambda = -sign(kept)
         g_det = fft.irfft2(gw[c:], s=(half, half)) * (kept != 0)
         lam_grad = -np.sum(np.sign(kept) * g_det, axis=1)
         raw_grad = lam_grad.reshape(layer.raw_thresholds.shape) * expit(layer.raw_thresholds)
-        y_ll, y_det = y_states[layer.family.name]
+        y_ll, y_det = y_states[fam.name]
         alpha_grad += (_spectral_dot(gw[:c], y_ll - ll_in, half)
                        + float(np.sum(g_det * (y_det - det_in))))
         if idx:
@@ -211,7 +205,9 @@ def backward(net, y, target):
 
 def _loss_and_masks(net, y, target, norms):
     """Loss at the given conv norms and every layer's threshold mask."""
-    pred, _, _, tapes = _forward_collect(net, y, norms)
+    tapes = []
+    pred, _ = run_network(y, forward_steps(net.layers, net.eps, norms, net.patch,
+                                           net.patch), tapes=tapes)
     return loss_mse(pred, target), [tape[2] != 0 for tape in tapes]
 
 
@@ -254,7 +250,7 @@ def grad_check(net, y, target, step=1e-6, tol=1e-4, max_coords=500, seed=0):
         y = y[None]
         target = target[None]
     _, grads = backward(net, y, target)
-    base_norms = _conv_norms(net)
+    base_norms = net.conv_norms()
     rng = np.random.default_rng(seed)
     coords = []
     for li, layer in enumerate(net.layers):
@@ -303,6 +299,8 @@ def synth_patches(n, patch, channels=1, seed=0):
     """Seeded synthetic clean patches: low-pass textures plus blocks and ramps."""
     if n < 0:
         raise ValidationError(f"patch count must be >= 0, got {n}")
+    if patch < 4:
+        raise ValidationError(f"synthetic patches must be >= 4 pixels wide, got {patch}")
     rng = Rng(seed)
     out = np.empty((n, channels, patch, patch))
     coords = np.arange(patch) / patch
@@ -376,18 +374,8 @@ def train(net, dataset, cfg, val_dataset=None):
     ``cfg.sigma``, runs forward/backward, applies the momentum update, then
     projects with constrain_params. The certificate is checked every epoch.
     """
-    dataset = np.asarray(dataset, dtype=np.float64)
-    if dataset.ndim != 4 or dataset.shape[1] != net.channels \
-            or dataset.shape[2:] != (net.patch, net.patch):
-        raise DimensionError(
-            f"dataset must be (N, {net.channels}, {net.patch}, {net.patch}), "
-            f"got {dataset.shape}")
-    if dataset.shape[0] == 0:
-        raise ValidationError("the training set is empty")
-    if val_dataset is not None:
-        val = np.asarray(val_dataset, dtype=np.float64)
-        if val.size == 0:
-            raise ValidationError("the validation set is empty")
+    dataset = _patches(dataset, net, "the training set")
+    val = None if val_dataset is None else _patches(val_dataset, net, "the validation set")
     rng = Rng(cfg.seed)
     net = constrain_params(net)
     vel_alpha = [0.0] * net.depth
@@ -404,8 +392,6 @@ def train(net, dataset, cfg, val_dataset=None):
         epoch_loss = 0.0
         for step_i in range(steps):
             idx = order[step_i * cfg.batch_size:(step_i + 1) * cfg.batch_size]
-            if idx.size == 0:
-                continue
             clean = dataset[idx]
             clean = _augment(clean, rng.integers(idx.size, 16))
             noisy = add_awgn(clean, cfg.sigma, rng)
@@ -426,7 +412,7 @@ def train(net, dataset, cfg, val_dataset=None):
         epoch_loss /= steps
         cert = contraction_certificate(net)
         val_psnr = float("nan")
-        if val_dataset is not None:
+        if val is not None:
             noisy_val = add_awgn(val, cfg.sigma, Rng(cfg.seed + 10_000 + epoch))
             denoised = network_forward(noisy_val, net)
             val_psnr = psnr(denoised, val)

@@ -618,6 +618,23 @@ def test_train_rejects_out_of_range_flags(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("flags, message", [
+    (["--patch", "3"], "patch must be even and >= 2, got 3"),
+    (["--patch", "2"], "grid 2x2 smaller than kernel 3x3"),
+    (["--patch", "2", "--kernel-size", "1"],
+     "synthetic patches must be >= 4 pixels wide, got 2"),
+], ids=["patch_3", "patch_2", "patch_2_kernel_1"])
+def test_train_names_a_bad_patch_size(tmp_path, capsys, flags, message):
+    # each used to print "bound must be positive, got 0" from inside the
+    # synthetic data's random draws
+    wpath = tmp_path / "w.ctrx"
+    code, _, err = run(["train", "--out", str(wpath), "--depth", "1",
+                        "--epochs", "1", "--seed", "0", *flags], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not wpath.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
     # --sigma nan and inf used to fail as "image contains non-finite values"
     (["--sigma", "nan"], "sigma must be finite and >= 0, got nan"),
     (["--sigma", "inf"], "sigma must be finite and >= 0, got inf"),

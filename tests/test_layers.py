@@ -462,17 +462,21 @@ def test_transfer_matches_the_spatial_chain(spatial_transfer, case):
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(got) * np.linalg.norm(g)
 
 
+def reference_layer(x, y, layer, eps, s):
+    """One layer in space: blend, dwt2, soft_threshold_hf, idwt2 and
+    conv2d_circular, as the layers were first written."""
+    u = idwt2(soft_threshold_hf(dwt2((1 - layer.alpha) * x + layer.alpha * y,
+                                     layer.family), layer.thresholds()),
+              layer.family)
+    return conv2d_circular(u, layer.kernel) / (
+        (s + NORM_GUARD) * gain_denominator(layer.alpha, eps))
+
+
 def reference_forward(y, net, x0=None):
-    """The network in space: blend, dwt2, soft_threshold_hf, idwt2 and
-    conv2d_circular per layer, as the layers were first written."""
+    """The network in space, layer by layer on its patch grid."""
     x = y if x0 is None else x0
     for layer in net.layers:
-        s = layer.conv_norm(net.patch, net.patch)
-        u = idwt2(soft_threshold_hf(dwt2((1 - layer.alpha) * x + layer.alpha * y,
-                                         layer.family), layer.thresholds()),
-                  layer.family)
-        x = conv2d_circular(u, layer.kernel) / (
-            (s + NORM_GUARD) * gain_denominator(layer.alpha, net.eps))
+        x = reference_layer(x, y, layer, net.eps, layer.conv_norm(net.patch, net.patch))
     return x
 
 
@@ -488,16 +492,24 @@ def test_network_forward_matches_the_spatial_chain(channels, patch, depth, with_
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_layer_forward_matches_the_spatial_chain():
-    net = init_network(depth=1, patch=16, channels=2, seed=32)
+@pytest.mark.parametrize("size", [3, 5])
+@pytest.mark.parametrize("family", FAMILY_CYCLE)
+@pytest.mark.parametrize("grid", [(16, 16), (16, 8), (8, 16), (16, 12), (12, 16),
+                                  (10, 14), (14, 10), (6, 22)],
+                         ids=lambda g: f"{g[0]}x{g[1]}")
+def test_layer_forward_matches_the_spatial_chain(grid, family, size):
+    # layer_forward builds its step on the grid of x, square or not
+    h, w = grid
     rng = np.random.default_rng(33)
-    y = rng.random((2, 16, 16))
-    x = rng.standard_normal((4, 2, 16, 16))
-    layer = net.layers[0]
-    s = layer.conv_norm(16, 16)
-    one = NetworkParams([layer], eps=net.eps, patch=16, channels=2)
-    want = reference_forward(np.broadcast_to(y, x.shape), one, x)
-    got = layer_forward(x, y, layer, net.eps, s)[0]
+    kernel = 0.2 * rng.standard_normal((2, 2, size, size))
+    kernel[:, :, size // 2, size // 2] += np.eye(2)
+    raw = softplus_inverse(0.05) + 0.5 * rng.standard_normal((3, 2, h // 2, w // 2))
+    layer = LayerParams(0.4, raw, kernel, get_family(family))
+    y = rng.random((2, h, w))
+    x = rng.standard_normal((4, 2, h, w))
+    s = layer.conv_norm(h, w)
+    want = reference_layer(x, np.broadcast_to(y, x.shape), layer, 1e-3, s)
+    got = layer_forward(x, y, layer, 1e-3, s)[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import fft
 
+import ctrx.trainer
 from ctrx.errors import DimensionError, TrainingFailureError, ValidationError
 from ctrx.io import Rng, add_awgn
 from ctrx.layers import contraction_certificate, init_network, network_forward
@@ -204,6 +205,34 @@ def test_train_rejects_wrong_dataset_shape():
     net = init_network(depth=2, patch=8, channels=1, seed=12)
     with pytest.raises(DimensionError):
         train(net, np.zeros((4, 1, 16, 16)), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 16, 16), (2, 2, 8, 8), (2, 8, 8)],
+                         ids=["patch_16", "channels_2", "one_image_channels_2"])
+def test_backward_rejects_a_batch_of_the_wrong_shape(shape):
+    # a P=8, 1-channel net used to fail inside the first step with numpy's
+    # "operands could not be broadcast together"
+    net = init_network(depth=2, patch=8, channels=1, seed=0)
+    batch = np.zeros(shape)
+    with pytest.raises(DimensionError, match=r"the batch must be \(N, 1, 8, 8\)"):
+        backward(net, batch, batch)
+
+
+@pytest.mark.parametrize("val, error", [
+    (np.zeros((4, 1, 16, 16)), DimensionError),
+    (np.full((4, 1, 8, 8), np.nan), ValidationError),
+], ids=["wrong_shape", "non_finite"])
+def test_train_checks_the_validation_set_before_any_step(monkeypatch, val, error):
+    # a bad validation set used to fail only after the first epoch's steps
+    calls = []
+    real = ctrx.trainer.backward
+    monkeypatch.setattr(ctrx.trainer, "backward",
+                        lambda *args: calls.append(1) or real(*args))
+    net = init_network(depth=2, patch=8, channels=1, seed=12)
+    data = synth_patches(64, 8, seed=13)
+    with pytest.raises(error, match="the validation set"):
+        train(net, data, TrainConfig(epochs=1, batch_size=8), val_dataset=val)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
