@@ -87,7 +87,7 @@ def _run_solver(args):
                              (pnp_drs, drs_contraction_bound, args.step))
     bound = bound_of(model, step, lip, full_h, full_w)
     _emit("composite_bound", bound)
-    if bound >= 1 and not args.allow_expansive:
+    if not bound < 1 and not args.allow_expansive:
         print("composite bound >= 1: convergence is not certified "
               "(pass --allow-expansive to run anyway)", file=sys.stderr)
         return None, EXIT_EXPANSIVE

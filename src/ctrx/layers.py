@@ -26,8 +26,8 @@ the four aliases of that frequency; :func:`_transfers`). The ll band is
 never thresholded, so it stays a spectrum from layer to layer; only the
 three detail bands pass through ``irfft2``/``rfft2`` around the threshold.
 The last layer maps to the polyphase split of the output image. Every
-forward, on any grid, builds its constants with :func:`forward_steps` and
-runs them with :func:`run_network`.
+forward runs the constants of :func:`forward_steps` with :func:`run_network`;
+:meth:`NetworkParams.steps` keeps the network's own, on its patch grid.
 
 :func:`network_forward` flattens the leading axes of a batch and cuts it
 with ``np.array_split`` into ``ceil(nbytes / CHUNK_BYTES)`` chunks (at most
@@ -89,8 +89,6 @@ class LayerParams:
     kernel: np.ndarray
     family: WaveletFamily
     _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _thresholds: np.ndarray = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     def __post_init__(self):
         self.alpha = float(self.alpha)
@@ -109,12 +107,8 @@ class LayerParams:
                 f"layer kernels must have c_out = c_in, got {self.kernel.shape}")
 
     def thresholds(self):
-        """Softplus of ``raw_thresholds``, computed once and read-only."""
-        if self._thresholds is None:
-            thr = softplus(self.raw_thresholds)
-            thr.flags.writeable = False
-            self._thresholds = thr
-        return self._thresholds
+        """Softplus of ``raw_thresholds``."""
+        return softplus(self.raw_thresholds)
 
     def conv_norm(self, grid_h, grid_w):
         """Operator norm of this layer's kernel on the grid, cached."""
@@ -132,6 +126,7 @@ class NetworkParams:
     eps: float = DEFAULT_EPS
     patch: int = 64
     channels: int = 1
+    _steps: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.layers) < 1:
@@ -163,6 +158,18 @@ class NetworkParams:
     def conv_norms(self):
         """Every layer's conv norm on the patch grid."""
         return [layer.conv_norm(self.patch, self.patch) for layer in self.layers]
+
+    def steps(self):
+        """The :func:`forward_steps` table on the patch grid, built on the
+        first call and kept (treat the network as immutable); its arrays are
+        read-only, so threads share it."""
+        if self._steps is None:
+            steps = tuple(forward_steps(self.layers, self.eps, self.conv_norms(),
+                                        self.patch, self.patch))
+            for *_, thresholds, transfer in steps:
+                thresholds.flags.writeable = transfer.flags.writeable = False
+            self._steps = steps
+        return self._steps
 
 
 def gain_denominator(alpha, eps):
@@ -257,7 +264,7 @@ def forward_steps(layers, eps, norms, grid_h, grid_w):
     The one place they are computed: a layer's conv is scaled by one over
     its norm in ``norms`` (plus NORM_GUARD) times its gain denominator, and
     its target is the next layer's family, None (the polyphase split of the
-    output) for the last. Built on every call and freed with the list.
+    output) for the last. Built afresh on every call.
     """
     scales = [1.0 / ((s + NORM_GUARD) * gain_denominator(layer.alpha, eps))
               for layer, s in zip(layers, norms)]
@@ -383,11 +390,12 @@ def network_forward(y, net, x0=None):
 
     The layers run in the wavelet domain (:func:`step`): the observation is
     analysed once per family, the state once at the start, and the output
-    is the last step's polyphase split. A batch above ``CHUNK_BYTES`` is
-    split into ``ceil(nbytes / CHUNK_BYTES)`` chunks of patches (at most
-    one per patch) that run on ``min(chunks, CPUs available)`` threads; the
-    result is bitwise equal to the unsplit forward. A non-finite output
-    raises ValidationError, from any chunk.
+    is the last step's polyphase split, with ``net.steps()`` (built here, on
+    the first forward of ``net``, before any chunk). A batch above
+    ``CHUNK_BYTES`` is split into ``ceil(nbytes / CHUNK_BYTES)`` chunks of
+    patches (at most one per patch) that run on ``min(chunks, CPUs
+    available)`` threads; the result is bitwise equal to the unsplit
+    forward. A non-finite output raises ValidationError, from any chunk.
     """
     y = as_image(y)
     if y.shape[-3] != net.channels or y.shape[-2:] != (net.patch, net.patch):
@@ -399,7 +407,7 @@ def network_forward(y, net, x0=None):
         if x0.shape != y.shape:
             raise DimensionError(
                 f"x0 shape {x0.shape} must match observation shape {y.shape}")
-    steps = forward_steps(net.layers, net.eps, net.conv_norms(), net.patch, net.patch)
+    steps = net.steps()
     flat = (-1,) + y.shape[-3:]
     result = np.empty(y.shape).reshape(flat)
 

@@ -2,9 +2,10 @@
 
 The degradation is ``y = S B x + eta`` with ``B`` a known circular blur
 applied per channel and ``S`` decimation by an integer stride (stride 1 means
-deblurring). PnP-FBS iterates ``x <- D(x - alpha * grad f(x))`` for a
-denoiser ``D``; when ``D`` is contractive with constant ``L_D`` and
-``L_D * ||I - alpha A^T A|| < 1`` the iteration is a contraction, so the
+deblurring); ``B`` and ``B^T`` multiply each channel's half-spectrum by
+``B_hat`` and its conjugate. PnP-FBS iterates ``x <- D(x - alpha * grad
+f(x))`` for a denoiser ``D``; when ``D`` is contractive with constant ``L_D``
+and ``L_D * ||I - alpha A^T A|| < 1`` the iteration is a contraction, so the
 residuals decay geometrically to a unique fixed point.
 :func:`composite_contraction_bound` evaluates that product exactly, in closed
 form over the frequencies of the decimated grid. For stride > 1 the norm is
@@ -31,8 +32,7 @@ from scipy import fft
 from .errors import DimensionError, DivergenceError, ValidationError
 from .io import Rng, add_awgn, open_new
 from .metrics import psnr
-from .tensorops import (as_image, conv2d_circular, conv2d_circular_adjoint,
-                        freq_response)
+from .tensorops import _kernel_rfft, as_image, freq_response
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 500
@@ -59,9 +59,6 @@ class ForwardModel:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "blur", blur)
 
-    def kernel4d(self):
-        return self.blur[None, None]
-
 
 def apply_forward(x, model):
     """S B x: circular blur per channel, then keep every stride-th row/col."""
@@ -70,12 +67,12 @@ def apply_forward(x, model):
     if h % model.stride or w % model.stride:
         raise DimensionError(
             f"image {h}x{w} not divisible by stride {model.stride}")
-    blurred = conv2d_circular(x[..., None, :, :], model.kernel4d())[..., 0, :, :]
-    return blurred[..., ::model.stride, ::model.stride]
+    bf = _kernel_rfft(model.blur[None, None], h, w)[0, 0]
+    return fft.irfft2(fft.rfft2(x) * bf, s=(h, w))[..., ::model.stride, ::model.stride]
 
 
 def apply_adjoint(u, model, full_h, full_w):
-    """B^T S^T u: zero-fill upsample, then the adjoint blur."""
+    """B^T S^T u: zero-fill upsample, then the adjoint blur, ``conj(B_hat)``."""
     u = as_image(u)
     s = model.stride
     if u.shape[-2] * s != full_h or u.shape[-1] * s != full_w:
@@ -84,7 +81,8 @@ def apply_adjoint(u, model, full_h, full_w):
             f"{full_h}x{full_w} at stride {s}")
     up = np.zeros(u.shape[:-2] + (full_h, full_w))
     up[..., ::s, ::s] = u
-    return conv2d_circular_adjoint(up[..., None, :, :], model.kernel4d())[..., 0, :, :]
+    bf = _kernel_rfft(model.blur[None, None], full_h, full_w)[0, 0]
+    return fft.irfft2(fft.rfft2(up) * np.conj(bf), s=(full_h, full_w))
 
 
 def grad_datafit(x, y, model):
@@ -171,7 +169,7 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
         y: Observation (C, H/s, W/s).
         model: ForwardModel whose stride relates y to the full grid.
         denoiser: Callable mapping full-resolution images to the same shape.
-        alpha_step: Gradient step size (> 0).
+        alpha_step: Gradient step size (finite, > 0).
         max_iters, tol: Iteration cap and relative stopping tolerance.
         ref: Optional clean reference; records per-iteration PSNR.
         x0: Optional start; defaults to ``A^T y``.
@@ -179,8 +177,8 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
     Returns:
         PnPTrace whose ``final`` is the last iterate.
     """
-    if not alpha_step > 0:
-        raise ValidationError(f"alpha_step must be positive, got {alpha_step}")
+    if not (np.isfinite(alpha_step) and alpha_step > 0):
+        raise ValidationError(f"alpha_step must be finite and positive, got {alpha_step}")
     y = as_image(y)
     full_h = y.shape[-2] * model.stride
     full_w = y.shape[-1] * model.stride
@@ -198,7 +196,7 @@ def _alias_spectrum(model, grid_h, grid_w):
     if grid_h % s or grid_w % s:
         raise DimensionError(
             f"grid {grid_h}x{grid_w} not divisible by stride {s}")
-    bf = freq_response(model.kernel4d(), grid_h, grid_w)[:, :, 0, 0]
+    bf = freq_response(model.blur[None, None], grid_h, grid_w)[:, :, 0, 0]
     # the aliases of decimated frequency k are k + (m H/s, n W/s), 0 <= m, n < s
     aliases = (np.abs(bf) ** 2).reshape(s, grid_h // s, s, grid_w // s)
     return aliases.sum(axis=(0, 2)) / s ** 2
@@ -236,19 +234,25 @@ def _prox_datafit(z, y, model, weight):
     return _datafit_prox(apply_adjoint(y, model, h, w), model, weight)(z)
 
 
+def _drs_weight(step):
+    """``1 / step``, the DRS prox's data-fit weight; both must be finite and > 0."""
+    if not (step > 0 and np.isfinite(step) and np.isfinite(1.0 / float(step))):
+        raise ValidationError(f"step and 1/step must be finite and positive, got {step}")
+    return 1.0 / step
+
+
 def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
             tol=DEFAULT_TOL, ref=None):
     """Plug-and-play Douglas-Rachford splitting.
 
     One iteration: ``x = prox(z)``, ``z <- z + D(2x - z) - x``, where prox
     solves ``(I + (1/step) A^T A) x = z + (1/step) A^T y`` exactly, in closed
-    form for every stride. The trace shows ``x``; ``final`` is ``prox(z)``.
+    form for every stride; ``step`` and ``1/step`` must be finite and > 0. The trace shows ``x``; ``final`` is ``prox(z)``.
     """
-    if not step > 0:
-        raise ValidationError(f"step must be positive, got {step}")
+    weight = _drs_weight(step)
     y = as_image(y)
     z = apply_adjoint(y, model, y.shape[-2] * model.stride, y.shape[-1] * model.stride)
-    prox = _datafit_prox(z, model, 1.0 / step)
+    prox = _datafit_prox(z, model, weight)
 
     def update(z):
         x = prox(z)
@@ -266,8 +270,8 @@ def composite_contraction_bound(model, alpha_step, lip_denoiser, grid_h, grid_w)
     also has eigenvalue 0, so ``||I - alpha A^T A||`` is the larger of 1 and
     ``max_k |1 - alpha mu(k)|``, and the bound is never below ``L_D``.
     """
-    if not alpha_step >= 0:
-        raise ValidationError(f"alpha_step must be >= 0, got {alpha_step}")
+    if not (np.isfinite(alpha_step) and alpha_step >= 0):
+        raise ValidationError(f"alpha_step must be finite and >= 0, got {alpha_step}")
     lam = _ata_spectrum(model, grid_h, grid_w)
     return lip_denoiser * float(np.max(np.abs(1.0 - alpha_step * lam)))
 
@@ -280,9 +284,7 @@ def drs_contraction_bound(model, step, lip_denoiser, grid_h, grid_w):
     Over the eigenvalues ``lam`` of ``A^T A`` the two norms are
     ``max w lam / (1 + w lam)`` and ``max |1 - w lam| / (1 + w lam)``.
     """
-    if not step > 0:
-        raise ValidationError(f"step must be positive, got {step}")
-    wlam = (1.0 / step) * _ata_spectrum(model, grid_h, grid_w)
+    wlam = _drs_weight(step) * _ata_spectrum(model, grid_h, grid_w)
     return float(np.max(wlam / (1.0 + wlam))
                  + lip_denoiser * np.max(np.abs(1.0 - wlam) / (1.0 + wlam)))
 

@@ -21,12 +21,11 @@ covers every singular value of the full grid (Sedghi, Gupta & Long, "The
 Singular Values of Convolutional Layers", ICLR 2019).
 :func:`freq_response` alone returns the full ``H x W`` grid.
 
-The denoiser's layers do not call :func:`conv2d_circular`: ``ctrx.layers``
-folds each layer's convolution, with its wavelet synthesis and the next
-analysis, into one matrix per frequency of the half grid, from the kernel's
-spectrum at the four aliases of that frequency (same centre-tap convention).
-Here the convolution serves the PnP forward models and the dense oracles,
-and it is the reference the tests check those transfers against.
+No run path calls :func:`conv2d_circular`: ``ctrx.layers`` folds each
+layer's convolution, with its wavelet synthesis and the next analysis, into
+one matrix per frequency of the half grid, and ``ctrx.pnp`` multiplies by
+the blur's :func:`_kernel_rfft` (same centre-tap convention). The
+convolution serves the dense oracles and is the tests' reference for both.
 :func:`conv_operator_norm` still gives every layer its normalizer.
 
 :func:`conv_operator_norm` runs the SVD only on the frequencies that can
@@ -117,25 +116,6 @@ def conv2d_circular(x, k):
     kf = _kernel_rfft(k, h, w)
     xf = fft.rfft2(x, axes=(-2, -1))
     yf = np.einsum("oihw,...ihw->...ohw", kf, xf)
-    return fft.irfft2(yf, s=(h, w), axes=(-2, -1))
-
-
-def conv2d_circular_adjoint(g, k):
-    """Adjoint of :func:`conv2d_circular` in its image argument.
-
-    Maps (..., c_out, H, W) back to (..., c_in, H, W); the per-frequency
-    channel matrix is conjugate-transposed, which is exactly the transpose of
-    the circulant operator.
-    """
-    g = as_image(g)
-    k = as_kernel(k)
-    if g.shape[-3] != k.shape[0]:
-        raise DimensionError(
-            f"input has {g.shape[-3]} channels, kernel adjoint expects {k.shape[0]}")
-    h, w = g.shape[-2:]
-    kf = _kernel_rfft(k, h, w)
-    gf = fft.rfft2(g, axes=(-2, -1))
-    yf = np.einsum("oihw,...ohw->...ihw", np.conj(kf), gf)
     return fft.irfft2(yf, s=(h, w), axes=(-2, -1))
 
 

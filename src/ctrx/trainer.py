@@ -2,7 +2,7 @@
 
 The loss is mean squared error between the network output and the clean
 target. The forward is inference's: :func:`ctrx.layers.run_network` on the
-steps of :func:`ctrx.layers.forward_steps`, keeping every tape. The backward
+network's step table, ``net.steps()``, keeping every tape. The backward
 runs through the same steps on the same spectra: each transfer by its
 conjugate transpose at every frequency, the blend by its scalars, and the
 kernel gradient as the correlation of the conv's input and output gradient
@@ -46,8 +46,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -161,7 +161,7 @@ def backward(net, y, target):
     y = _patches(y, net, "the batch")
     if y.shape != target.shape:
         raise DimensionError(f"shapes differ: {y.shape} vs {target.shape}")
-    steps = forward_steps(net.layers, net.eps, net.conv_norms(), net.patch, net.patch)
+    steps = net.steps()
     tapes = []
     pred, y_states = run_network(y, steps, tapes=tapes)
     if not np.all(np.isfinite(pred)):

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ctrx.cli
+import ctrx.layers
+import ctrx.trainer
 from ctrx.cli import main
 from ctrx.io import Rng, add_awgn, load_weights, read_image, save_weights, write_image
 from ctrx.layers import LayerParams, NetworkParams, init_network, network_forward
@@ -219,6 +222,66 @@ def test_restore_expansive_bound_blocks_without_flag(tmp_path, capsys, toy_weigh
                         "--weights", wpath, "--stride", "16"], capsys)
     assert code == 6
     assert float(kv(err)["composite_bound"]) >= 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags, message", [
+    (["--blur", "box:3", "--alpha-step", "inf"],
+     "alpha_step must be finite and >= 0, got inf"),
+    (["--algo", "drs", "--step", "1e-310"],
+     "step and 1/step must be finite and positive, got 1e-310"),
+], ids=["fbs_alpha_step_inf", "drs_step_1e-310"])
+def test_restore_rejects_a_step_with_no_finite_bound(tmp_path, capsys, toy_weights,
+                                                     flags, message):
+    # each used to print composite_bound=nan with a RuntimeWarning, pass the
+    # gate (nan >= 1 is False) and fail in the solve on non-finite values
+    src = tmp_path / "lr.raw"
+    write_image(src, np.random.default_rng(6).random((1, 16, 16)))
+    code, _, err = run(["restore", "--in", str(src), "--out",
+                        str(tmp_path / "hr.raw"), "--task", "sr", *flags,
+                        "--weights", toy_weights[0], "--iters", "2"], capsys)
+    assert code == 2
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [f"error: {message}"]
+    assert "composite_bound" not in kv(err)
+    assert not (tmp_path / "hr.raw").exists()
+
+
+def test_restore_a_nan_bound_is_not_certified(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ctrx.cli, "composite_contraction_bound",
+                        lambda *args: float("nan"))
+    src = tmp_path / "y.raw"
+    write_image(src, np.random.default_rng(2).random((1, 16, 16)))
+    code, _, err = run(["restore", "--in", str(src), "--out",
+                        str(tmp_path / "x.raw"), "--task", "deblur",
+                        "--identity"], capsys)
+    assert code == 6
+    assert kv(err)["composite_bound"] == "nan"
+    assert not (tmp_path / "x.raw").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["restore", "--out", "{out}", "--task", "deblur", "--blur", "gauss:5:1.0",
+     "--iters", "25", "--tol", "0", "--allow-expansive"],
+    ["perturb", "--perturb", "awgn:10", "--seed", "3"],
+], ids=["restore", "perturb"])
+def test_one_step_table_per_command(tmp_path, capsys, monkeypatch, toy_weights,
+                                    command):
+    # the network's step table is built on its first forward and kept: a
+    # 25-iteration restore used to build it 25 times, perturb twice
+    calls = []
+    real = ctrx.layers.forward_steps
+    monkeypatch.setattr(ctrx.layers, "forward_steps",
+                        lambda *args: calls.append(1) or real(*args))
+    src = tmp_path / "x.raw"
+    write_image(src, synth_patches(1, 32, seed=4)[0])
+    command = [arg.format(out=tmp_path / "y.raw") for arg in command]
+    code, _, err = run([command[0], "--in", str(src), *command[1:],
+                        "--weights", toy_weights[0], "--stride", "16"], capsys)
+    assert code == 0
+    if command[0] == "restore":
+        assert kv(err)["iterations"] == "25"
+    assert calls == [1]
 
 
 def test_restore_sr_doubles_dimensions(tmp_path, capsys):
@@ -649,6 +712,25 @@ def test_train_names_a_bad_sigma_or_eps(tmp_path, capsys, flags, message):
                         *flags], capsys)
     assert code == 2
     assert err.startswith(f"error: {message}")
+    assert not wpath.exists()
+
+
+@pytest.mark.parametrize("lr", ["inf", "nan"])
+def test_train_rejects_a_non_finite_lr_before_any_step(tmp_path, capsys,
+                                                       monkeypatch, lr):
+    # --lr inf used to run a step and then blame alpha: "alpha must be
+    # finite, got -inf"
+    calls = []
+    real = ctrx.trainer.backward
+    monkeypatch.setattr(ctrx.trainer, "backward",
+                        lambda *args: calls.append(1) or real(*args))
+    wpath = tmp_path / "w.ctrx"
+    code, _, err = run(["train", "--out", str(wpath), "--depth", "1",
+                        "--patch", "16", "--epochs", "1", "--seed", "0",
+                        "--lr", lr], capsys)
+    assert code == 2
+    assert err.startswith(f"error: lr must be finite and positive, got {lr}")
+    assert calls == []
     assert not wpath.exists()
 
 

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,13 +264,45 @@ def test_a_non_finite_last_patch_raises(bad):
         network_forward(y, net)
 
 
-def test_thresholds_are_computed_once_and_read_only():
-    p = make_layer(threshold=0.3)
-    thr = p.thresholds()
-    assert p.thresholds() is thr
-    np.testing.assert_array_equal(thr, softplus(p.raw_thresholds))
-    with pytest.raises(ValueError):
-        thr[0, 0, 0, 0] = 1.0
+def test_network_step_table_is_built_once_and_read_only(monkeypatch):
+    # the forward's worker threads and the backward share the network's
+    # one table, so its arrays must not be writable
+    calls = []
+    real = ctrx.layers.forward_steps
+    monkeypatch.setattr(ctrx.layers, "forward_steps",
+                        lambda *args: calls.append(1) or real(*args))
+    net = init_network(depth=4, patch=16, channels=2, seed=6)
+    y = np.random.default_rng(7).random((160, 2, 16, 16))
+    assert ctrx.layers.CHUNK_BYTES < y.nbytes  # the forward runs on threads
+    first = network_forward(y, net)
+    np.testing.assert_array_equal(network_forward(y, net), first)
+    backward(net, y[:3], y[:3])
+    assert calls == [1]
+    steps = net.steps()
+    assert net.steps() is steps and len(steps) == net.depth
+    for layer, (*_, thresholds, transfer) in zip(net.layers, steps):
+        np.testing.assert_array_equal(
+            thresholds, softplus(layer.raw_thresholds).reshape(thresholds.shape))
+        for table in (thresholds, transfer):
+            with pytest.raises(ValueError):
+                table.flat[0] = 1.0
+
+
+def test_threads_sharing_a_fresh_network_get_the_same_output():
+    # more threads than cores race to build the table of one fresh network
+    # and then read it; every output must be the serial one
+    y = np.random.default_rng(8).random((3, 1, 16, 16))
+    want = network_forward(y, init_network(depth=3, patch=16, seed=9))
+    net = init_network(depth=3, patch=16, seed=9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            outs = list(pool.map(lambda _: network_forward(y, net), range(32)))
+    finally:
+        sys.setswitchinterval(interval)
+    for out in outs:
+        np.testing.assert_array_equal(out, want)
 
 
 def test_network_state_perturbation_obeys_certificate():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrx.errors import DimensionError, DivergenceError, ValidationError
 from ctrx.io import Rng, add_awgn
@@ -50,6 +52,54 @@ def test_adjoint_identity_inner_products(stride):
         lhs = np.sum(apply_forward(x, m) * u)
         rhs = np.sum(x * apply_adjoint(u, m, 8, 8))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+# aniso and motion blurs are point-symmetric, so their spectra are real;
+# the sparse random ones are not, and only they would catch a missing conj
+ASYMMETRIC_BLURS = st.one_of(
+    st.sampled_from(["aniso:5:1:2:30", "aniso:3:0.7:1.6:-60", "motion:3:diag",
+                     "motion:5:diag"]),
+    st.builds("sparse:{}:{}:{}".format, st.sampled_from([3, 5]),
+              st.sampled_from([0.0, 0.3, 0.6]), st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(ASYMMETRIC_BLURS, st.integers(1, 3), st.integers(5, 9), st.integers(5, 9),
+       st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_property_adjoint_identity_for_asymmetric_blurs(spec, stride, rows, cols,
+                                                        channels, seed):
+    # <A x, u> = <x, A^T u> on odd and non-square grids at strides 1-3
+    m = ForwardModel(parse_blur_spec(spec), stride=stride)
+    h, w = rows * stride, cols * stride
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((channels, h, w))
+    u = rng.standard_normal((channels, rows, cols))
+    lhs = np.sum(apply_forward(x, m) * u)
+    rhs = np.sum(x * apply_adjoint(u, m, h, w))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(u)
+
+
+def test_blur_and_adjoint_match_direct_loops_for_an_asymmetric_blur():
+    # out[n] = sum_a blur[a] x[n + center - a] on a 7x9 grid, and the
+    # adjoint scatters every term back onto the index it read
+    blur = sparse_random_blur(5, 0.4, seed=3)
+    assert not np.allclose(blur, blur[::-1, ::-1])
+    m = ForwardModel(blur, stride=1)
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((2, 7, 9))
+    g = rng.standard_normal((2, 7, 9))
+    want = np.zeros_like(x)
+    want_adj = np.zeros_like(g)
+    for a in range(5):
+        for b in range(5):
+            for r in range(7):
+                for c in range(9):
+                    src = (r + 2 - a) % 7, (c + 2 - b) % 9
+                    want[:, r, c] += blur[a, b] * x[:, src[0], src[1]]
+                    want_adj[:, src[0], src[1]] += blur[a, b] * g[:, r, c]
+    np.testing.assert_allclose(apply_forward(x, m), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply_adjoint(g, m, 7, 9), want_adj, rtol=0,
+                               atol=1e-12)
 
 
 def test_forward_composition_matches_dense_matrix():
@@ -409,10 +459,25 @@ def test_drs_bound_dominates_the_dense_jacobian(stride, h, w, step):
             assert got >= c
 
 
-@pytest.mark.parametrize("value", [float("nan"), -1.0])
+@pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
 def test_bounds_reject_nan_and_negative_steps(value):
     m = ForwardModel(gaussian_blur(3, 1.0), stride=1)
     with pytest.raises(ValidationError):
         composite_contraction_bound(m, value, 0.9, 8, 8)
     with pytest.raises(ValidationError):
         drs_contraction_bound(m, value, 0.9, 8, 8)
+    for solver in (pnp_fbs, pnp_drs):
+        with pytest.raises(ValidationError):
+            solver(np.zeros((1, 8, 8)), m, lambda z: z, value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_drs_rejects_a_step_whose_reciprocal_overflows():
+    # 1/1e-310 is inf: the bound used to come out nan, with a RuntimeWarning
+    m = ForwardModel(gaussian_blur(3, 1.0), stride=2)
+    y = np.zeros((1, 4, 4))
+    for step in (1e-310, np.float64(1e-310)):
+        with pytest.raises(ValidationError, match="1/step must be finite"):
+            drs_contraction_bound(m, step, 0.9, 8, 8)
+        with pytest.raises(ValidationError, match="1/step must be finite"):
+            pnp_drs(y, m, lambda z: z, step)

@@ -241,6 +241,12 @@ def test_train_config_rejects_a_non_finite_or_negative_sigma(sigma):
         TrainConfig(sigma=sigma)
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -0.1])
+def test_train_config_rejects_a_non_finite_or_non_positive_lr(lr):
+    with pytest.raises(ValidationError, match="lr must be finite and positive"):
+        TrainConfig(lr=lr)
+
+
 def test_curve_csv(tmp_path):
     curve = [EpochStats(1, 0.5, 22.25, 0.9), EpochStats(2, 0.25, float("nan"), 0.8)]
     path = tmp_path / "curve.csv"
