@@ -3,10 +3,11 @@
 The degradation is ``y = S B x + eta`` with ``B`` a known circular blur
 applied per channel and ``S`` decimation by an integer stride (stride 1 means
 deblurring); ``B`` and ``B^T`` multiply each channel's half-spectrum by
-``B_hat`` and its conjugate. PnP-FBS iterates ``x <- D(x - alpha * grad
-f(x))`` for a denoiser ``D``; when ``D`` is contractive with constant ``L_D``
-and ``L_D * ||I - alpha A^T A|| < 1`` the iteration is a contraction, so the
-residuals decay geometrically to a unique fixed point.
+``B_hat`` and its conjugate, built once per model and grid. PnP-FBS iterates
+``x <- D(x - alpha * grad f(x))`` for a denoiser ``D``; when ``D`` is
+contractive with constant ``L_D`` and ``L_D * ||I - alpha A^T A|| < 1`` the
+iteration is a contraction, so the residuals decay geometrically to a unique
+fixed point.
 :func:`composite_contraction_bound` evaluates that product exactly, in closed
 form over the frequencies of the decimated grid. For stride > 1 the norm is
 never below 1 (decimation leaves ``A^T A`` a null space), so a certified
@@ -45,19 +46,35 @@ class ForwardModel:
     blur: np.ndarray
     stride: int = 1
     noise_sigma: float = 0.0
+    _spectra: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        blur = np.asarray(self.blur, dtype=np.float64)
+        # a read-only copy, so the cached spectra always match the taps
+        blur = np.array(self.blur, dtype=np.float64)
+        blur.flags.writeable = False
         if blur.ndim != 2 or blur.shape[0] % 2 == 0 or blur.shape[1] % 2 == 0:
             raise DimensionError(
                 f"blur must be a 2D kernel with odd sides, got {blur.shape}")
         if not np.all(np.isfinite(blur)):
             raise ValidationError("blur taps must be finite")
-        if self.stride < 1:
-            raise ValidationError(f"stride must be >= 1, got {self.stride}")
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (isinstance(self.stride, (int, np.integer)) and self.stride >= 1):
+            raise ValidationError(
+                f"stride must be an integer >= 1, got {self.stride!r}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValidationError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "blur", blur)
+        object.__setattr__(self, "stride", int(self.stride))
+
+    def blur_spectrum(self, grid_h, grid_w):
+        """``B_hat`` on an H x W grid: the blur's half-spectrum, read-only, cached."""
+        key = (grid_h, grid_w)
+        if key not in self._spectra:
+            bf = _kernel_rfft(self.blur[None, None], grid_h, grid_w)[0, 0]
+            bf.flags.writeable = False
+            self._spectra[key] = bf
+        return self._spectra[key]
 
 
 def apply_forward(x, model):
@@ -67,7 +84,7 @@ def apply_forward(x, model):
     if h % model.stride or w % model.stride:
         raise DimensionError(
             f"image {h}x{w} not divisible by stride {model.stride}")
-    bf = _kernel_rfft(model.blur[None, None], h, w)[0, 0]
+    bf = model.blur_spectrum(h, w)
     return fft.irfft2(fft.rfft2(x) * bf, s=(h, w))[..., ::model.stride, ::model.stride]
 
 
@@ -81,7 +98,7 @@ def apply_adjoint(u, model, full_h, full_w):
             f"{full_h}x{full_w} at stride {s}")
     up = np.zeros(u.shape[:-2] + (full_h, full_w))
     up[..., ::s, ::s] = u
-    bf = _kernel_rfft(model.blur[None, None], full_h, full_w)[0, 0]
+    bf = model.blur_spectrum(full_h, full_w)
     return fft.irfft2(fft.rfft2(up) * np.conj(bf), s=(full_h, full_w))
 
 

@@ -1,3 +1,8 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -794,3 +799,64 @@ def test_removed_flags_are_rejected(tmp_path, capsys, toy_weights, command, flag
         main([*argv, "--in", str(src), "--weights", wpath, *flags])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.skipif(not GLIBC, reason="mallopt's results are glibc's")
+def test_heap_policy_sets_both_thresholds_and_can_be_set_again():
+    assert ctrx.cli.keep_freed_heap_mapped() == (1, 1)
+    assert ctrx.cli.keep_freed_heap_mapped() == (1, 1)
+
+
+def test_heap_policy_does_nothing_without_mallopt(tmp_path, capsys, monkeypatch):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(ctrx.cli.ctypes, "CDLL", NoMallopt)
+    assert ctrx.cli.keep_freed_heap_mapped() is None
+    src = tmp_path / "in.raw"
+    write_image(src, np.zeros((1, 4, 4)))
+    code, _, _ = run(["denoise", "--in", str(src), "--out",
+                      str(tmp_path / "out.raw"), "--identity"], capsys)
+    assert code == 0
+
+
+# three x2 super-resolution restores of a 64x64 image with a depth-3 P=32
+# net, in-process, as a fresh interpreter runs them; prints the third's faults
+_FAULTS_OF_A_THIRD_RESTORE = """
+import contextlib, io, resource, sys
+from ctrx.cli import main
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not GLIBC, reason="the heap policy needs glibc's mallopt")
+def test_repeated_sr_restores_stop_page_faulting(tmp_path):
+    # each PnP iteration frees its temporaries at the top of the heap; with
+    # glibc's dynamic thresholds every restore faults about 7k pages back in.
+    # The thresholds depend on what the process freed before (importing
+    # pytest alone raises them), so the restores run in a new interpreter
+    rng = np.random.default_rng(5)
+    weights = tmp_path / "sr.ctrx"
+    save_weights(weights, init_network(depth=3, patch=32, channels=1, seed=0,
+                                       alpha_range=(0.05, 0.25), eps=0.3))
+    write_image(tmp_path / "low.raw", rng.random((1, 32, 32)))
+    write_image(tmp_path / "clean.raw", rng.random((1, 64, 64)))
+    argv = ["restore", "--in", str(tmp_path / "low.raw"),
+            "--out", str(tmp_path / "out.raw"), "--task", "sr",
+            "--stride-sr", "2", "--blur", "gauss:9:2.0", "--alpha-step", "1.0",
+            "--tol", "0", "--iters", "25", "--ref", str(tmp_path / "clean.raw"),
+            "--trace", str(tmp_path / "trace.csv"), "--weights", str(weights)]
+    src = os.path.dirname(os.path.dirname(ctrx.cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_OF_A_THIRD_RESTORE, *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500

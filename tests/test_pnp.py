@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from ctrx.errors import DimensionError, DivergenceError, ValidationError
 from ctrx.io import Rng, add_awgn
@@ -14,6 +15,7 @@ from ctrx.pnp import (ForwardModel, _prox_datafit, anisotropic_gaussian_blur,
                       grad_datafit, motion_blur,
                       parse_blur_spec, pnp_drs, pnp_fbs, simulate,
                       sparse_random_blur, trace_to_csv)
+from ctrx.tensorops import _kernel_rfft
 
 
 def test_forward_identity_model():
@@ -40,6 +42,58 @@ def test_adjoint_identity_delta():
     u = np.random.default_rng(1).random((1, 6, 6))
     m = ForwardModel(delta_blur(), stride=1)
     np.testing.assert_allclose(apply_adjoint(u, m, 6, 6), u, atol=1e-13)
+
+
+def test_cached_blur_spectrum_gives_the_fresh_spectrum_bits():
+    rng = np.random.default_rng(2)
+    blur = sparse_random_blur(5, 0.4, seed=3)
+    m = ForwardModel(blur, stride=2)
+    for h, w in [(12, 10), (8, 14), (12, 10)]:
+        x = rng.random((2, h, w))
+        u = rng.random((2, h // 2, w // 2))
+        bf = _kernel_rfft(blur[None, None], h, w)[0, 0]
+        want_fwd = fft.irfft2(fft.rfft2(x) * bf, s=(h, w))[..., ::2, ::2]
+        up = np.zeros((2, h, w))
+        up[..., ::2, ::2] = u
+        want_adj = fft.irfft2(fft.rfft2(up) * np.conj(bf), s=(h, w))
+        np.testing.assert_array_equal(apply_forward(x, m), want_fwd)
+        np.testing.assert_array_equal(apply_adjoint(u, m, h, w), want_adj)
+        assert m.blur_spectrum(h, w) is m.blur_spectrum(h, w)
+        assert not m.blur_spectrum(h, w).flags.writeable
+    assert not m.blur.flags.writeable
+
+
+def test_models_never_share_a_blur_spectrum():
+    taps = gaussian_blur(5, 1.0)
+    a = ForwardModel(taps, stride=2)
+    b = ForwardModel(box_blur(5), stride=2)
+    a.blur_spectrum(8, 8)
+    assert not np.array_equal(b.blur_spectrum(8, 8), a.blur_spectrum(8, 8))
+    assert a.blur_spectrum(8, 6).shape == (8, 4)
+    assert a.blur_spectrum(8, 8).shape == (8, 5)
+    # the model keeps its own copy of the taps, so editing them later
+    # cannot leave a stale spectrum behind
+    taps[2, 2] += 1.0
+    c = ForwardModel(taps, stride=2)
+    np.testing.assert_array_equal(
+        c.blur_spectrum(8, 8), _kernel_rfft(taps[None, None], 8, 8)[0, 0])
+    assert not np.array_equal(c.blur_spectrum(8, 8), a.blur_spectrum(8, 8))
+    np.testing.assert_array_equal(
+        a.blur_spectrum(8, 8),
+        _kernel_rfft(gaussian_blur(5, 1.0)[None, None], 8, 8)[0, 0])
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_forward_model_rejects_a_noise_sigma_not_finite_and_non_negative(sigma):
+    with pytest.raises(ValidationError, match="noise_sigma"):
+        ForwardModel(delta_blur(), noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("stride", [1.5, 2.0, 0, -1, "2"])
+def test_forward_model_rejects_a_stride_that_is_not_an_integer_of_one_or_more(stride):
+    with pytest.raises(ValidationError, match="stride"):
+        ForwardModel(delta_blur(), stride=stride)
+    assert ForwardModel(delta_blur(), stride=np.int64(2)).stride == 2
 
 
 @pytest.mark.parametrize("stride", [1, 2])
