@@ -4,15 +4,14 @@ certificates, and convergent plug-and-play restoration built on them."""
 from .inference import patch_denoise, plan_patches, tukey_window
 from .layers import (ContractionCertificate, LayerParams, NetworkParams,
                      constrain_params, contraction_certificate, init_network,
-                     layer_forward, network_forward)
+                     network_forward)
 from .metrics import metric_report, psnr, ssim
 from .pnp import (ForwardModel, apply_adjoint, apply_forward,
                   composite_contraction_bound, drs_contraction_bound, grad_datafit,
                   parse_blur_spec, pnp_drs, pnp_fbs, simulate, trace_to_csv)
-from .tensorops import (conv2d_circular, conv_operator_norm, dense_norm_oracle,
-                        freq_response)
+from .tensorops import conv_operator_norm, freq_response
 from .trainer import TrainConfig, backward, grad_check, loss_mse, synth_patches, train
-from .wavelets import FAMILIES, WaveletCoeffs, dwt2, get_family, idwt2, soft_threshold_hf
+from .wavelets import FAMILIES, WaveletCoeffs, dwt2, get_family
 
 __version__ = "0.1.0"
 
@@ -21,11 +20,11 @@ __all__ = [
     "NetworkParams", "TrainConfig", "WaveletCoeffs", "apply_adjoint",
     "apply_forward", "backward",
     "composite_contraction_bound", "constrain_params",
-    "contraction_certificate", "conv2d_circular", "conv_operator_norm",
-    "dense_norm_oracle", "drs_contraction_bound", "dwt2", "freq_response", "get_family",
-    "grad_check", "grad_datafit", "idwt2", "init_network", "layer_forward",
+    "contraction_certificate", "conv_operator_norm",
+    "drs_contraction_bound", "dwt2", "freq_response", "get_family",
+    "grad_check", "grad_datafit", "init_network",
     "loss_mse", "metric_report", "network_forward", "parse_blur_spec",
     "patch_denoise", "plan_patches", "pnp_drs", "pnp_fbs", "psnr",
-    "simulate", "soft_threshold_hf", "ssim", "synth_patches",
+    "simulate", "ssim", "synth_patches",
     "trace_to_csv", "train", "tukey_window",
 ]

@@ -56,7 +56,11 @@ def _emit(key, value):
 def _seed(args):
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("CTRX_SEED", "0"))
+    value = os.environ.get("CTRX_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(f"CTRX_SEED must be an integer, got {value!r}") from None
 
 
 def _denoiser_for(args, shape):

@@ -9,10 +9,6 @@ class DimensionError(ValidationError):
     """Raised on shape or size mismatches between operands."""
 
 
-class SizeGuardError(ValidationError):
-    """Raised when an operation would materialize something too large."""
-
-
 class CertificateError(RuntimeError):
     """Raised when a computed contraction certificate is not < 1.
 

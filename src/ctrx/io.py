@@ -221,8 +221,10 @@ def read_image(path):
             raise ValidationError("truncated raw image header")
         c, h, w = struct.unpack("<III", data[4:16])
         count = c * h * w
-        if len(data) - 16 < 8 * count:
-            raise ValidationError("truncated raw image payload")
+        if len(data) != 16 + 8 * count:
+            raise ValidationError(
+                f"{path}: a {c}x{h}x{w} raw image is {16 + 8 * count} bytes, "
+                f"the file has {len(data)}")
         payload = np.frombuffer(data, dtype="<f8", count=count, offset=16)
         if not np.all(np.abs(payload) <= MAX_ABS_VALUE):
             raise ValidationError(

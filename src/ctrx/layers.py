@@ -17,9 +17,9 @@ The layers run in the wavelet domain. The state of a patch is the four
 wavelet bands of the next layer's family, (4C, P/2, P/2), band-major. The
 blend is linear, so it runs on the bands against the observation's bands,
 which :func:`wavelet_state` computes once per family with the dense
-``dwt2``; those products, and the tests, are the only place the dense
-wavelet matrices still run. A layer's synthesis, convolution and the next
-family's analysis are all circular and shift invariant by two, so together
+``dwt2``; those products are the only place the dense wavelet matrices
+run. A layer's synthesis, convolution and the next family's analysis are
+all circular and shift invariant by two, so together
 they are one 4C x 4C matrix per frequency of the half grid's half-spectrum
 (the polyphase form of the filter bank, built from the kernel's spectrum at
 the four aliases of that frequency; :func:`_transfers`). The ll band is
@@ -224,9 +224,9 @@ def _transfers(layers, scales, targets, grid_h, grid_w):
     the layer's family); a target of None is the polyphase split of the
     output. The synthesis ``M`` takes the bands to the four aliases of the
     full grid, where the conv is the kernel's channel matrix at each (a DFT
-    of its taps, centre tap at the origin as in ``conv2d_circular``), and
-    the analysis is ``M^H / 4``. The layers of one (family, target) pair
-    are built together.
+    of its taps, centre tap at the origin as in ``tensorops._kernel_rfft``),
+    and the analysis is ``M^H / 4``. The layers of one (family, target)
+    pair are built together.
     """
     half_h = grid_h // 2
     bases, pairs = {}, {}
@@ -357,27 +357,6 @@ def polyphase_image(spec, half_h, half_w, out=None):
         out = np.empty((b, c, 2 * half_h, 2 * half_w))
     out.reshape(x.shape)[...] = x
     return out
-
-
-def layer_forward(x, y, p, eps, s):
-    """One layer on images with the kernel normalized by ``s``, and its tape.
-
-    Runs the layer's one step on the grid of ``x`` from ``x``, and returns
-    ``(out, (kept, w))``: the image ``out`` of the shape of ``x``, and the
-    step's tape.
-    ``out`` is the soft-thresholded blend ``(1 - alpha) x + alpha y``
-    (the prox of the wavelet penalty at the blend, so ``(1 - alpha)``-
-    Lipschitz in ``x``), synthesized, convolved and scaled by ``1 / ((s +
-    NORM_GUARD) * gain_denominator(alpha, eps))``. With ``s`` the kernel's
-    norm on the grid of ``x``, the map ``x -> out`` at fixed ``y`` is at
-    most ``(1 - alpha) / ((1 - alpha) + eps)``-Lipschitz. ``y`` has the
-    shape of ``x`` or is one image. Inputs are not validated here.
-    """
-    flat = lambda a: a.reshape((-1,) + a.shape[-3:])
-    tapes = []
-    out, _ = run_network(flat(y), forward_steps([p], eps, [s], *x.shape[-2:]),
-                         flat(x), tapes)
-    return out.reshape(x.shape), tapes[0][2:]
 
 
 def network_forward(y, net, x0=None):

@@ -39,7 +39,7 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardModel:
     """Blur taps (k x k, odd, unit sum by convention), decimation stride, noise level."""
 
@@ -243,12 +243,6 @@ def _datafit_prox(aty, model, weight):
                        s=mu.shape, axes=(-2, -1))
         return r - weight * apply_adjoint(t, model, h, w)
     return prox
-
-
-def _prox_datafit(z, y, model, weight):
-    """Solve ``(I + weight A^T A) x = z + weight A^T y`` exactly, any stride."""
-    h, w = z.shape[-2:]
-    return _datafit_prox(apply_adjoint(y, model, h, w), model, weight)(z)
 
 
 def _drs_weight(step):

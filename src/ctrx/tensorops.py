@@ -1,8 +1,7 @@
-"""Circular 2D convolution and exact operator norms for multichannel kernels.
+"""Spectra and exact operator norms of multichannel circular convolutions.
 
-Images are float64 arrays of shape ``(C, H, W)``; a leading batch axis is
-accepted by every operation and broadcast through. Kernels are float64 arrays
-of shape ``(c_out, c_in, k_h, k_w)`` with odd spatial extents.
+Images are float64 arrays of shape ``(..., C, H, W)``. Kernels are float64
+arrays of shape ``(c_out, c_in, k_h, k_w)`` with odd spatial extents.
 
 Convention: true convolution under periodic boundary, with the kernel's
 center tap ``(k_h//2, k_w//2)`` sitting at the spatial origin. The padded
@@ -21,12 +20,11 @@ covers every singular value of the full grid (Sedghi, Gupta & Long, "The
 Singular Values of Convolutional Layers", ICLR 2019).
 :func:`freq_response` alone returns the full ``H x W`` grid.
 
-No run path calls :func:`conv2d_circular`: ``ctrx.layers`` folds each
-layer's convolution, with its wavelet synthesis and the next analysis, into
-one matrix per frequency of the half grid, and ``ctrx.pnp`` multiplies by
-the blur's :func:`_kernel_rfft` (same centre-tap convention). The
-convolution serves the dense oracles and is the tests' reference for both.
-:func:`conv_operator_norm` still gives every layer its normalizer.
+No convolution runs in space: ``ctrx.layers`` folds each layer's
+convolution, with its wavelet synthesis and the next analysis, into one
+matrix per frequency of the half grid, and ``ctrx.pnp`` multiplies by the
+blur's :func:`_kernel_rfft` (same centre-tap convention).
+:func:`conv_operator_norm` gives every layer its normalizer.
 
 :func:`conv_operator_norm` runs the SVD only on the frequencies that can
 hold the maximum: two upper bounds on each frequency's Gram matrix
@@ -41,7 +39,7 @@ about three in four remain, and forming the bounds is overhead.
 import numpy as np
 from scipy import fft
 
-from .errors import DimensionError, SizeGuardError, ValidationError
+from .errors import DimensionError, ValidationError
 
 # numerical guard added to the spectral norm in the normalized convolution
 NORM_GUARD = 1e-12
@@ -96,29 +94,6 @@ def _kernel_rfft(k, grid_h, grid_w):
     return fft.rfft2(_padded_kernel(k, grid_h, grid_w), axes=(-2, -1))
 
 
-def conv2d_circular(x, k):
-    """Multichannel circular convolution of ``x`` with kernel ``k``.
-
-    Args:
-        x: Image array of shape (..., c_in, H, W).
-        k: Kernel array of shape (c_out, c_in, k_h, k_w).
-
-    Returns:
-        Array of shape (..., c_out, H, W): at spatial index ``n`` and output
-        channel ``o``, ``sum_{i,a} k[o,i,a] * x[i, n + center - a mod (H,W)]``.
-    """
-    x = as_image(x)
-    k = as_kernel(k)
-    if x.shape[-3] != k.shape[1]:
-        raise DimensionError(
-            f"input has {x.shape[-3]} channels, kernel expects {k.shape[1]}")
-    h, w = x.shape[-2:]
-    kf = _kernel_rfft(k, h, w)
-    xf = fft.rfft2(x, axes=(-2, -1))
-    yf = np.einsum("oihw,...ihw->...ohw", kf, xf)
-    return fft.irfft2(yf, s=(h, w), axes=(-2, -1))
-
-
 def freq_response(k, grid_h, grid_w):
     """Per-frequency channel-mixing matrices of the circular convolution.
 
@@ -128,9 +103,8 @@ def freq_response(k, grid_h, grid_w):
 
     Returns:
         Complex array of shape (H, W, c_out, c_in); entry ``[u, v]`` is the
-        channel matrix at frequency ``(u, v)``, aligned with the same origin
-        convention as :func:`conv2d_circular` so that convolution in space is
-        per-frequency matrix multiplication.
+        channel matrix at frequency ``(u, v)``, centre tap at the origin, so
+        that convolution in space is per-frequency matrix multiplication.
     """
     k = as_kernel(k)
     kf = np.fft.fft2(_padded_kernel(k, grid_h, grid_w), axes=(-2, -1))
@@ -197,37 +171,3 @@ def conv_operator_norm(k, grid_h, grid_w):
     sv = np.linalg.svd(mats[keep], compute_uv=False)
     return float(sv[:, 0].max())
 
-
-def _dense_matrix(k, grid_h, grid_w):
-    """Materialize the circulant operator of conv2d_circular as a dense matrix."""
-    k = as_kernel(k)
-    c_out, c_in = k.shape[:2]
-    n_in = c_in * grid_h * grid_w
-    if grid_h * grid_w * max(c_in, c_out) > 4096:
-        raise SizeGuardError(
-            f"dense operator too large: {grid_h}x{grid_w} grid with "
-            f"{max(c_in, c_out)} channels exceeds the 4096-row guard")
-    basis = np.eye(n_in).reshape(n_in, c_in, grid_h, grid_w)
-    cols = conv2d_circular(basis, k).reshape(n_in, -1)
-    return cols.T  # (c_out*H*W, c_in*H*W)
-
-
-def dense_norm_oracle(k, grid_h, grid_w):
-    """Operator norm via the explicit dense matrix, independent of the FFT path.
-
-    Builds the full circulant matrix column by column and takes its largest
-    singular value by dense SVD, exact to rounding. Guarded to small grids;
-    intended as a test oracle for :func:`conv_operator_norm`.
-    """
-    return float(np.linalg.norm(_dense_matrix(k, grid_h, grid_w), 2))
-
-
-def dense_top_singular_vector(k, grid_h, grid_w):
-    """Top right-singular vector of the dense operator, as an image.
-
-    Returns ``(sigma, v)`` where ``v`` has shape (c_in, H, W) and unit norm;
-    ``conv2d_circular(v, k)`` attains the operator norm ``sigma`` to rounding.
-    """
-    _, sv, vt = np.linalg.svd(_dense_matrix(k, grid_h, grid_w),
-                              full_matrices=False)
-    return float(sv[0]), vt[0].reshape(k.shape[1], grid_h, grid_w)

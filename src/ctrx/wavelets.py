@@ -3,10 +3,10 @@
 Ships Haar, Daubechies-4 (db4, 8 taps) and Symlet-4 (sym4, 8 taps) filter
 banks. Along an axis of even length n the periodized filter bank is one
 orthogonal n x n matrix A (lowpass outputs, then highpass), so analysis is
-``A_H @ x @ A_W.T`` and synthesis, its inverse and adjoint, applies the
-transposes. These dense products run once per family on the observation of
-a network forward (and in the tests); the layers themselves never leave the
-wavelet domain.
+``A_H @ x @ A_W.T``; synthesis, its inverse and adjoint, would apply the
+transposes. The analysis runs once per family on the observation of a
+network forward; the layers themselves never leave the wavelet domain, and
+their synthesis is the polyphase form below.
 
 The layers apply the filter bank in its polyphase form (Vaidyanathan,
 *Multirate Systems and Filter Banks*, 1993): the band outputs are shift
@@ -95,11 +95,6 @@ class WaveletCoeffs:
     hl: np.ndarray
     hh: np.ndarray
 
-    def norm(self):
-        return float(np.sqrt(
-            np.sum(self.ll ** 2) + np.sum(self.lh ** 2)
-            + np.sum(self.hl ** 2) + np.sum(self.hh ** 2)))
-
 
 _MATRICES = {}
 
@@ -158,7 +153,7 @@ def dwt2(x, fam):
     """Single-level periodized 2D analysis, applied independently per channel.
 
     Requires even H and W. Orthonormal: the coefficient norm equals the input
-    norm (Parseval) and :func:`idwt2` inverts it exactly.
+    norm (Parseval), and the transposed matrices invert it exactly.
     """
     x = as_image(x)
     h, w = x.shape[-2:]
@@ -166,41 +161,10 @@ def dwt2(x, fam):
         raise DimensionError(f"dwt2 needs even spatial dims, got {h}x{w}")
     y = _analysis_matrix(fam, h) @ x @ _analysis_matrix(fam, w).T
     h2, w2 = h // 2, w // 2
-    # ll is copied out: soft_threshold_hf passes it through, and a view would
-    # keep all of y alive until the synthesis is done
+    # ll is copied out, so a caller that keeps only ll does not keep all of y
+    # alive
     return WaveletCoeffs(ll=y[..., :h2, :w2].copy(), lh=y[..., :h2, w2:],
                          hl=y[..., h2:, :w2], hh=y[..., h2:, w2:])
-
-
-def idwt2(c, fam):
-    """Inverse (= adjoint) of :func:`dwt2`."""
-    shapes = {c.ll.shape, c.lh.shape, c.hl.shape, c.hh.shape}
-    if len(shapes) != 1:
-        raise DimensionError(f"subband shapes disagree: {sorted(shapes)}")
-    y = np.block([[c.ll, c.lh], [c.hl, c.hh]])
-    h, w = y.shape[-2:]
-    return _analysis_matrix(fam, h).T @ y @ _analysis_matrix(fam, w)
-
-
-def soft_threshold_hf(c, thr):
-    """Soft-threshold the three detail subbands; the ll band passes through.
-
-    ``thr`` has shape (3, C, H/2, W/2) in (lh, hl, hh) order and broadcasts
-    over any leading batch axes of the coefficients. Entries map
-    ``z -> sign(z) * max(|z| - lambda, 0)``.
-    """
-    thr = np.asarray(thr, dtype=np.float64)
-    if thr.shape[0] != 3:
-        raise DimensionError(f"threshold tensor must stack 3 bands, got {thr.shape}")
-    if not np.all(thr > 0):
-        raise ValidationError("all thresholds must be strictly positive")
-
-    return WaveletCoeffs(
-        ll=c.ll,
-        lh=shrink(c.lh, thr[0]),
-        hl=shrink(c.hl, thr[1]),
-        hh=shrink(c.hh, thr[2]),
-    )
 
 
 def shrink(z, lam, out=None):

@@ -1,0 +1,74 @@
+"""Reference implementations the tests compare the run path against.
+
+None of these runs in a ``ctrx`` command. The circular convolution works in
+space on whole images, the dense operator and its norm materialize the
+convolution column by column, and ``idwt2`` is the inverse (= adjoint) of
+``ctrx.wavelets.dwt2`` as a product with the transposed analysis matrices.
+"""
+
+import numpy as np
+from scipy import fft
+
+from ctrx.errors import DimensionError, ValidationError
+from ctrx.tensorops import _kernel_rfft, as_image, as_kernel
+from ctrx.wavelets import _analysis_matrix
+
+
+class SizeGuardError(ValidationError):
+    """Raised when an operation would materialize something too large."""
+
+
+def conv2d_circular(x, k):
+    """Multichannel circular convolution of ``x`` with kernel ``k``.
+
+    Args:
+        x: Image array of shape (..., c_in, H, W).
+        k: Kernel array of shape (c_out, c_in, k_h, k_w).
+
+    Returns:
+        Array of shape (..., c_out, H, W): at spatial index ``n`` and output
+        channel ``o``, ``sum_{i,a} k[o,i,a] * x[i, n + center - a mod (H,W)]``.
+    """
+    x = as_image(x)
+    k = as_kernel(k)
+    if x.shape[-3] != k.shape[1]:
+        raise DimensionError(
+            f"input has {x.shape[-3]} channels, kernel expects {k.shape[1]}")
+    h, w = x.shape[-2:]
+    kf = _kernel_rfft(k, h, w)
+    xf = fft.rfft2(x, axes=(-2, -1))
+    yf = np.einsum("oihw,...ihw->...ohw", kf, xf)
+    return fft.irfft2(yf, s=(h, w), axes=(-2, -1))
+
+
+def _dense_matrix(k, grid_h, grid_w):
+    """Materialize the circulant operator of conv2d_circular as a dense matrix."""
+    k = as_kernel(k)
+    c_out, c_in = k.shape[:2]
+    n_in = c_in * grid_h * grid_w
+    if grid_h * grid_w * max(c_in, c_out) > 4096:
+        raise SizeGuardError(
+            f"dense operator too large: {grid_h}x{grid_w} grid with "
+            f"{max(c_in, c_out)} channels exceeds the 4096-row guard")
+    basis = np.eye(n_in).reshape(n_in, c_in, grid_h, grid_w)
+    cols = conv2d_circular(basis, k).reshape(n_in, -1)
+    return cols.T  # (c_out*H*W, c_in*H*W)
+
+
+def dense_norm_oracle(k, grid_h, grid_w):
+    """Operator norm via the explicit dense matrix, independent of the FFT path.
+
+    Builds the full circulant matrix column by column and takes its largest
+    singular value by dense SVD, exact to rounding. Guarded to small grids.
+    """
+    return float(np.linalg.norm(_dense_matrix(k, grid_h, grid_w), 2))
+
+
+def idwt2(c, fam):
+    """Inverse (= adjoint) of ``ctrx.wavelets.dwt2``."""
+    shapes = {c.ll.shape, c.lh.shape, c.hl.shape, c.hh.shape}
+    if len(shapes) != 1:
+        raise DimensionError(f"subband shapes disagree: {sorted(shapes)}")
+    y = np.block([[c.ll, c.lh], [c.hl, c.hh]])
+    h, w = y.shape[-2:]
+    return _analysis_matrix(fam, h).T @ y @ _analysis_matrix(fam, w)

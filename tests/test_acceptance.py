@@ -15,14 +15,15 @@ from ctrx.inference import patch_denoise, plan_patches
 from ctrx.io import Rng, add_awgn, chroma_subsample, load_weights, read_image, \
     save_weights, write_image
 from ctrx.layers import (LayerParams, NetworkParams, constrain_params,
-                         contraction_certificate, init_network,
-                         layer_forward, network_forward, softplus_inverse)
+                         contraction_certificate, forward_steps, init_network,
+                         network_forward, run_network, softplus_inverse)
 from ctrx.metrics import psnr
 from ctrx.pnp import (ForwardModel, apply_forward, composite_contraction_bound,
                       gaussian_blur, pnp_fbs)
-from ctrx.tensorops import conv_operator_norm, dense_norm_oracle
+from ctrx.tensorops import conv_operator_norm
 from ctrx.trainer import TrainConfig, grad_check, synth_patches, train
-from ctrx.wavelets import FAMILIES, dwt2, get_family, idwt2
+from ctrx.wavelets import FAMILIES, dwt2, get_family
+from oracles import dense_norm_oracle, idwt2
 
 
 @contextmanager
@@ -92,9 +93,10 @@ def test_criterion_03_layer_contraction():
             y = rng.standard_normal((channels, patch, patch))
             a = rng.standard_normal((1000, channels, patch, patch))
             b = rng.standard_normal((1000, channels, patch, patch))
-            s = layer.conv_norm(patch, patch)
-            out_a = layer_forward(a, y, layer, eps, s)[0]
-            out_b = layer_forward(b, y, layer, eps, s)[0]
+            steps = forward_steps([layer], eps, [layer.conv_norm(patch, patch)],
+                                  patch, patch)
+            out_a, _ = run_network(y[None], steps, a)
+            out_b, _ = run_network(y[None], steps, b)
             num = np.linalg.norm((out_a - out_b).reshape(1000, -1), axis=1)
             den = np.linalg.norm((a - b).reshape(1000, -1), axis=1)
             assert np.all(num / den <= bound), \

@@ -663,6 +663,23 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch, toy_weights):
     assert kv(out1) == kv(out2)
 
 
+@pytest.mark.parametrize("command", ["train", "perturb"])
+def test_seed_env_that_is_not_an_integer_exits_2(tmp_path, capsys, monkeypatch,
+                                                 toy_weights, command):
+    # used to escape _seed as a ValueError traceback (exit 1)
+    src = tmp_path / "x.raw"
+    write_image(src, synth_patches(1, 32, seed=22)[0])
+    monkeypatch.setenv("CTRX_SEED", "abc")
+    args = {"train": ["train", "--out", str(tmp_path / "w.ctrx"), "--depth", "1",
+                      "--patch", "16", "--epochs", "1"],
+            "perturb": ["perturb", "--in", str(src), "--perturb", "awgn:10",
+                        "--weights", toy_weights[0], "--stride", "16"]}[command]
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert "CTRX_SEED" in err and "'abc'" in err
+    assert not (tmp_path / "w.ctrx").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--batch", "0"],        # used to raise ZeroDivisionError (exit 1)
     ["--batch", "-4"],       # used to train and exit 0

@@ -120,6 +120,17 @@ def test_raw_roundtrip_bitwise(tmp_path):
     np.testing.assert_array_equal(read_image(p), x)
 
 
+@pytest.mark.parametrize("extra", [-8, -1, 1, 24])
+def test_raw_of_the_wrong_length_is_rejected(tmp_path, extra):
+    # bytes after the payload used to be ignored, so the file read as its image
+    p = tmp_path / "img.raw"
+    write_image(p, np.zeros((1, 16, 16)))
+    data = p.read_bytes()
+    p.write_bytes(data[:extra] if extra < 0 else data + b"\x00" * extra)
+    with pytest.raises(ValidationError, match="1x16x16 raw image is 2064 bytes"):
+        read_image(p)
+
+
 def test_overwrite_writes_a_new_file_and_follows_symlinks(tmp_path):
     rng = np.random.default_rng(11)
     old, new, newer = (rng.standard_normal((1, 4, 5)) for _ in range(3))

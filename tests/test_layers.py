@@ -10,11 +10,13 @@ from scipy import fft
 import ctrx.layers
 from ctrx.errors import DimensionError, ValidationError
 from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, constrain_params,
-                         contraction_certificate, gain_denominator, init_network,
-                         layer_forward, network_forward, softplus, softplus_inverse)
-from ctrx.tensorops import NORM_GUARD, conv2d_circular, conv_operator_norm
+                         contraction_certificate, forward_steps, gain_denominator,
+                         init_network, network_forward, run_network, softplus,
+                         softplus_inverse)
+from ctrx.tensorops import NORM_GUARD, conv_operator_norm
 from ctrx.trainer import backward, loss_mse
-from ctrx.wavelets import FAMILY_CYCLE, dwt2, get_family, idwt2, soft_threshold_hf
+from ctrx.wavelets import FAMILY_CYCLE, WaveletCoeffs, dwt2, get_family, shrink
+from oracles import conv2d_circular, idwt2
 
 
 def make_layer(alpha=0.5, channels=1, patch=8, seed=0, family="haar",
@@ -33,11 +35,18 @@ def prox_block(x, y, p):
     eye = np.eye(p.kernel.shape[0])[:, :, None, None]
     identity = LayerParams(p.alpha, p.raw_thresholds, eye, p.family)
     gain = (1.0 + NORM_GUARD) * gain_denominator(p.alpha, 1e-3)
-    return layer_forward(x, y, identity, 1e-3, 1.0)[0] * gain
+    return layer_out(x, y, identity, 1e-3, 1.0) * gain
 
 
-def layer_out(x, y, p, eps):
-    return layer_forward(x, y, p, eps, p.conv_norm(*x.shape[-2:]))[0]
+def layer_out(x, y, p, eps, s=None):
+    """One layer, normalized by ``s`` (default: its norm on the grid of
+    ``x``), on images ``x``; ``y`` has the shape of ``x`` or is one image."""
+    h, w = x.shape[-2:]
+    s = p.conv_norm(h, w) if s is None else s
+    out, _ = run_network(y.reshape((-1,) + y.shape[-3:]),
+                         forward_steps([p], eps, [s], h, w),
+                         x.reshape((-1,) + x.shape[-3:]))
+    return out.reshape(x.shape)
 
 
 def pair_ratios(f, shape, n_pairs, seed):
@@ -498,11 +507,12 @@ def test_transfer_matches_the_spatial_chain(spatial_transfer, case):
 
 
 def reference_layer(x, y, layer, eps, s):
-    """One layer in space: blend, dwt2, soft_threshold_hf, idwt2 and
-    conv2d_circular, as the layers were first written."""
-    u = idwt2(soft_threshold_hf(dwt2((1 - layer.alpha) * x + layer.alpha * y,
-                                     layer.family), layer.thresholds()),
-              layer.family)
+    """One layer in space: blend, dwt2, soft threshold of the detail bands,
+    idwt2 and conv2d_circular, as the layers were first written."""
+    c = dwt2((1 - layer.alpha) * x + layer.alpha * y, layer.family)
+    thr = layer.thresholds()
+    u = idwt2(WaveletCoeffs(c.ll, shrink(c.lh, thr[0]), shrink(c.hl, thr[1]),
+                            shrink(c.hh, thr[2])), layer.family)
     return conv2d_circular(u, layer.kernel) / (
         (s + NORM_GUARD) * gain_denominator(layer.alpha, eps))
 
@@ -533,7 +543,7 @@ def test_network_forward_matches_the_spatial_chain(channels, patch, depth, with_
                                   (10, 14), (14, 10), (6, 22)],
                          ids=lambda g: f"{g[0]}x{g[1]}")
 def test_layer_forward_matches_the_spatial_chain(grid, family, size):
-    # layer_forward builds its step on the grid of x, square or not
+    # the layer's step is built on the grid of x, square or not
     h, w = grid
     rng = np.random.default_rng(33)
     kernel = 0.2 * rng.standard_normal((2, 2, size, size))
@@ -544,7 +554,7 @@ def test_layer_forward_matches_the_spatial_chain(grid, family, size):
     x = rng.standard_normal((4, 2, h, w))
     s = layer.conv_norm(h, w)
     want = reference_layer(x, np.broadcast_to(y, x.shape), layer, 1e-3, s)
-    got = layer_forward(x, y, layer, 1e-3, s)[0]
+    got = layer_out(x, y, layer, 1e-3, s)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -5,7 +5,8 @@ from scipy import fft
 import ctrx.trainer
 from ctrx.errors import DimensionError, TrainingFailureError, ValidationError
 from ctrx.io import Rng, add_awgn
-from ctrx.layers import contraction_certificate, init_network, network_forward
+from ctrx.layers import (contraction_certificate, forward_steps, init_network,
+                         network_forward, run_network)
 from ctrx.metrics import psnr
 from ctrx.wavelets import get_family
 from ctrx.trainer import (EpochStats, GradCheckReport, TrainConfig,
@@ -166,8 +167,6 @@ def test_train_improves_loss_and_keeps_certificate():
 def test_trained_layers_still_obey_their_bounds():
     # the per-layer contraction guarantee is structural, so it must survive
     # training, not just random initialization
-    from ctrx.layers import layer_forward
-
     net = init_network(depth=3, patch=16, channels=1, seed=20)
     data = synth_patches(48, 16, seed=6)
     trained, _ = train(net, data, TrainConfig(lr=0.05, epochs=6, batch_size=8))
@@ -177,9 +176,9 @@ def test_trained_layers_still_obey_their_bounds():
     a = rng.standard_normal((500, 1, 16, 16))
     b = rng.standard_normal((500, 1, 16, 16))
     for layer, lb in zip(trained.layers, cert.per_layer):
-        s = layer.conv_norm(16, 16)
-        out_a = layer_forward(a, y, layer, trained.eps, s)[0]
-        out_b = layer_forward(b, y, layer, trained.eps, s)[0]
+        steps = forward_steps([layer], trained.eps, [layer.conv_norm(16, 16)], 16, 16)
+        out_a, _ = run_network(y[None], steps, a)
+        out_b, _ = run_network(y[None], steps, b)
         num = np.linalg.norm((out_a - out_b).reshape(500, -1), axis=1)
         den = np.linalg.norm((a - b).reshape(500, -1), axis=1)
         assert lb.layer_bound < 1
