@@ -19,7 +19,7 @@ from .errors import (CertificateError, CorruptWeightsError, DivergenceError,
                      TrainingFailureError, ValidationError)
 from .inference import DEFAULT_TAPER, patch_denoise, plan_patches
 from .layers import contraction_certificate, init_network
-from .metrics import metric_report, psnr, ssim
+from .metrics import metric_report, psnr
 from .pnp import (ForwardModel, composite_contraction_bound, drs_contraction_bound,
                   parse_blur_spec, pnp_drs, pnp_fbs, trace_to_csv)
 from .trainer import (TrainConfig, curve_to_csv, load_patch_dataset,
@@ -54,13 +54,18 @@ def _emit(key, value):
 
 
 def _seed(args):
+    """The --seed flag, else CTRX_SEED, else 0; a non-negative integer."""
     if args.seed is not None:
-        return args.seed
-    value = os.environ.get("CTRX_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"CTRX_SEED must be an integer, got {value!r}") from None
+        name, seed = "--seed", args.seed
+    else:
+        name, value = "CTRX_SEED", os.environ.get("CTRX_SEED", "0")
+        try:
+            seed = int(value)
+        except ValueError:
+            raise ValidationError(f"CTRX_SEED must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _denoiser_for(args, shape):
@@ -202,10 +207,10 @@ def cmd_perturb(args):
 def cmd_metrics(args):
     a = cio.read_image(args.a)
     b = cio.read_image(args.b)
-    print(f"psnr={psnr(a, b, args.peak)!r}")
-    print(f"ssim={ssim(a, b, args.peak)!r}")
+    rep = metric_report(a, b, args.peak)
+    print(f"psnr={rep.psnr_db!r}")
+    print(f"ssim={rep.ssim!r}")
     if args.per_channel:
-        rep = metric_report(a, b, args.peak)
         for c, (p, s) in enumerate(rep.per_channel):
             print(f"psnr_ch{c}={p!r}")
             print(f"ssim_ch{c}={s!r}")

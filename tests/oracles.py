@@ -2,8 +2,10 @@
 
 None of these runs in a ``ctrx`` command. The circular convolution works in
 space on whole images, the dense operator and its norm materialize the
-convolution column by column, and ``idwt2`` is the inverse (= adjoint) of
-``ctrx.wavelets.dwt2`` as a product with the transposed analysis matrices.
+convolution column by column, ``idwt2`` is the inverse (= adjoint) of
+``ctrx.wavelets.dwt2`` as a product with the transposed analysis matrices,
+and ``correlate_valid`` is SSIM's 2-D window filter as one weighted sum per
+output pixel.
 """
 
 import numpy as np
@@ -72,3 +74,19 @@ def idwt2(c, fam):
     y = np.block([[c.ll, c.lh], [c.hl, c.hh]])
     h, w = y.shape[-2:]
     return _analysis_matrix(fam, h).T @ y @ _analysis_matrix(fam, w)
+
+
+def correlate_valid(x, win):
+    """2-D "valid" correlation of the last two axes of ``x`` with ``win``.
+
+    ``out[..., r, c] = sum(win * x[..., r:r + kh, c:c + kw])``, one window
+    position at a time.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    kh, kw = win.shape
+    h, w = x.shape[-2:]
+    out = np.empty(x.shape[:-2] + (h - kh + 1, w - kw + 1))
+    for r in range(h - kh + 1):
+        for c in range(w - kw + 1):
+            out[..., r, c] = np.sum(win * x[..., r:r + kh, c:c + kw], axis=(-2, -1))
+    return out

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import ctrx.cli
 import ctrx.layers
+import ctrx.metrics
 import ctrx.trainer
 from ctrx.cli import main
 from ctrx.io import Rng, add_awgn, load_weights, read_image, save_weights, write_image
 from ctrx.layers import LayerParams, NetworkParams, init_network, network_forward
-from ctrx.metrics import psnr
+from ctrx.metrics import psnr, ssim
 from ctrx.pnp import ForwardModel, apply_forward, gaussian_blur
 from ctrx.trainer import TrainConfig, synth_patches, train
 
@@ -591,6 +592,35 @@ def test_metrics_command(tmp_path, capsys):
     assert float(stats["ssim"]) == 1.0
 
 
+def test_metrics_per_channel_filters_each_channel_once(tmp_path, capsys,
+                                                      monkeypatch):
+    rng = np.random.default_rng(10)
+    a = rng.random((3, 16, 18))
+    b = rng.random((3, 16, 18))
+    pa, pb = tmp_path / "a.raw", tmp_path / "b.raw"
+    write_image(pa, a)
+    write_image(pb, b)
+    calls = []
+    real = ctrx.metrics._ssim_channel
+
+    def counted(x, y, peak):
+        calls.append(x.shape)
+        return real(x, y, peak)
+
+    # the overall ssim= line used to filter every channel twice more
+    monkeypatch.setattr(ctrx.metrics, "_ssim_channel", counted)
+    code, out, _ = run(["metrics", "--a", str(pa), "--b", str(pb),
+                        "--per-channel"], capsys)
+    assert code == 0
+    assert calls == [(16, 18)] * 3
+    stats = kv(out)
+    assert stats["psnr"] == repr(psnr(a, b))
+    assert stats["ssim"] == repr(ssim(a, b))
+    for c in range(3):
+        assert stats[f"ssim_ch{c}"] == repr(ssim(a[c:c + 1], b[c:c + 1]))
+        assert stats[f"psnr_ch{c}"] == repr(psnr(a[c:c + 1], b[c:c + 1]))
+
+
 @pytest.mark.parametrize("peak", ["inf", "nan", "0", "-1"])
 def test_metrics_rejects_a_peak_that_is_not_finite_and_positive(tmp_path, capsys,
                                                                  peak):
@@ -663,20 +693,43 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch, toy_weights):
     assert kv(out1) == kv(out2)
 
 
+def _seed_command(command, tmp_path, weights):
+    src = tmp_path / "x.raw"
+    write_image(src, synth_patches(1, 32, seed=22)[0])
+    return {"train": ["train", "--out", str(tmp_path / "w.ctrx"), "--depth", "1",
+                      "--patch", "16", "--epochs", "1"],
+            "perturb": ["perturb", "--in", str(src), "--perturb", "awgn:10",
+                        "--weights", weights, "--stride", "16"]}[command]
+
+
 @pytest.mark.parametrize("command", ["train", "perturb"])
 def test_seed_env_that_is_not_an_integer_exits_2(tmp_path, capsys, monkeypatch,
                                                  toy_weights, command):
     # used to escape _seed as a ValueError traceback (exit 1)
-    src = tmp_path / "x.raw"
-    write_image(src, synth_patches(1, 32, seed=22)[0])
     monkeypatch.setenv("CTRX_SEED", "abc")
-    args = {"train": ["train", "--out", str(tmp_path / "w.ctrx"), "--depth", "1",
-                      "--patch", "16", "--epochs", "1"],
-            "perturb": ["perturb", "--in", str(src), "--perturb", "awgn:10",
-                        "--weights", toy_weights[0], "--stride", "16"]}[command]
+    args = _seed_command(command, tmp_path, toy_weights[0])
     code, _, err = run(args, capsys)
     assert code == 2
     assert "CTRX_SEED" in err and "'abc'" in err
+    assert not (tmp_path / "w.ctrx").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["train", "perturb"])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, toy_weights,
+                               command, source):
+    # train used to escape as numpy's ValueError traceback (exit 1), and
+    # perturb ran with the seed
+    args = _seed_command(command, tmp_path, toy_weights[0])
+    if source == "flag":
+        args, name = [*args, "--seed", "-1"], "--seed"
+    else:
+        monkeypatch.setenv("CTRX_SEED", "-1")
+        name = "CTRX_SEED"
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} must be a non-negative integer, got -1\n"
     assert not (tmp_path / "w.ctrx").exists()
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ctrx.errors import DimensionError, ValidationError
-from ctrx.metrics import gaussian_window, metric_report, psnr, ssim
+from ctrx.metrics import (_gaussian_filter_valid, _gaussian_taps, gaussian_window,
+                          metric_report, psnr, ssim)
+from oracles import correlate_valid
 
 
 def test_psnr_identical_is_inf():
@@ -44,6 +46,22 @@ def test_gaussian_window_normalized():
     assert win.shape == (11, 11)
     assert win.sum() == pytest.approx(1.0, rel=1e-14)
     np.testing.assert_allclose(win, win.T)
+
+
+def test_gaussian_window_is_the_outer_product_of_the_taps():
+    g = _gaussian_taps()
+    assert g.shape == (11,)
+    assert g.sum() == pytest.approx(1.0, rel=1e-15)
+    np.testing.assert_array_equal(gaussian_window(), np.outer(g, g))
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (11, 17), (3, 40, 33)])
+def test_separable_filter_matches_direct_correlation(shape):
+    x = np.random.default_rng(11).random(shape)
+    got = _gaussian_filter_valid(x, _gaussian_taps())
+    want = correlate_valid(x, gaussian_window())
+    assert got.shape == want.shape == shape[:-2] + (shape[-2] - 10, shape[-1] - 10)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_ssim_identical_is_one():
@@ -104,6 +122,25 @@ def test_metric_report_per_channel():
     assert rep.per_channel[0][0] < 30
     assert rep.psnr_db == pytest.approx(psnr(a, b))
     assert rep.ssim == pytest.approx(ssim(a, b))
+
+
+def test_metric_report_ssim_is_the_mean_of_its_channels():
+    rng = np.random.default_rng(8)
+    a = rng.random((3, 20, 23))
+    b = rng.random((3, 20, 23))
+    rep = metric_report(a, b)
+    assert rep.ssim == ssim(a, b)
+    assert rep.ssim == float(np.mean([s for _, s in rep.per_channel]))
+    for c, (_, s) in enumerate(rep.per_channel):
+        assert s == ssim(a[c:c + 1], b[c:c + 1])
+
+
+@pytest.mark.parametrize("metric", [ssim, metric_report])
+def test_ssim_checks_hold_for_the_report(metric):
+    with pytest.raises(DimensionError, match="smaller than the 11x11"):
+        metric(np.zeros((1, 10, 16)), np.zeros((1, 10, 16)))
+    with pytest.raises(DimensionError, match="single image"):
+        metric(np.zeros((2, 1, 12, 12)), np.zeros((2, 1, 12, 12)))
 
 
 @pytest.mark.parametrize("metric", [psnr, ssim, metric_report])
