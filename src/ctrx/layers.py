@@ -10,8 +10,8 @@ With ``alpha`` in (0, 1) the blend-plus-prox map is ``(1 - alpha)``-Lipschitz
 in the state; the normalized convolution is below 1; so every layer's state
 map has Lipschitz constant at most ``(1 - alpha) / ((1 - alpha) + eps) < 1``
 and the depth-M composition contracts by the product of the per-layer
-bounds. That product is computed exactly (FFT + per-frequency SVD), making
-the certificate a checkable artifact rather than an estimate.
+bounds. That product is computed exactly (kernel spectrum + per-frequency
+SVD), making the certificate a checkable artifact rather than an estimate.
 
 The layers run in the wavelet domain. The state of a patch is the four
 wavelet bands of the next layer's family, (4C, P/2, P/2), band-major. The
@@ -19,12 +19,13 @@ blend is linear, so it runs on the bands against the observation's bands,
 which :func:`wavelet_state` computes once per family with the dense
 ``dwt2``; those products are the only place the dense wavelet matrices
 run. A layer's synthesis, convolution and the next family's analysis are
-all circular and shift invariant by two, so together
-they are one 4C x 4C matrix per frequency of the half grid's half-spectrum
-(the polyphase form of the filter bank, built from the kernel's spectrum at
-the four aliases of that frequency; :func:`_transfers`). The ll band is
-never thresholded, so it stays a spectrum from layer to layer; only the
-three detail bands pass through ``irfft2``/``rfft2`` around the threshold.
+all circular and shift invariant by two, so together they are one 4C x 4C
+matrix per frequency of the half grid's half-spectrum (the polyphase form
+of the filter bank, built from the kernel's ``tensorops.kernel_spectrum``
+at the four aliases of that frequency, one layer at a time by
+:func:`_transfer`). The ll band is never thresholded, so it stays a
+spectrum from layer to layer; only the three detail bands pass through
+``irfft2``/``rfft2`` around the threshold.
 The last layer maps to the polyphase split of the output image. Every
 forward runs the constants of :func:`forward_steps` with :func:`run_network`;
 :meth:`NetworkParams.steps` keeps the network's own, on its patch grid.
@@ -33,7 +34,8 @@ forward runs the constants of :func:`forward_steps` with :func:`run_network`;
 with ``np.array_split`` into ``ceil(nbytes / CHUNK_BYTES)`` chunks (at most
 one per patch), so every layer's temporaries stay cache-sized. A batch of
 one chunk runs inline; more run on a thread pool of ``min(chunks, CPUs
-available)`` workers, each writing its slice of one output array. Every
+available)`` workers (``os.cpu_count()`` where the platform cannot say
+which are available), each writing its slice of one output array. Every
 stage (the dense analysis, FFTs over the last two axes, ufuncs, and the
 per-frequency mix, one complex multiply-add per matrix entry rather than a
 BLAS product, whose rounding may depend on the number of rows) computes
@@ -50,7 +52,8 @@ import numpy as np
 from scipy import fft
 
 from .errors import CertificateError, DimensionError, ValidationError
-from .tensorops import NORM_GUARD, as_image, as_kernel, conv_operator_norm
+from .tensorops import (NORM_GUARD, as_image, as_kernel, conv_operator_norm,
+                        kernel_spectrum)
 from .wavelets import (FAMILY_CYCLE, WaveletFamily, dwt2, get_family, shrink,
                        synthesis_aliases)
 
@@ -199,62 +202,36 @@ def band_aliases(fam, grid_h, grid_w):
     return m.reshape((4, 4) + m.shape[-2:])
 
 
-def tap_bases(kernel_shape, grid_h, grid_w):
-    """DFT rows ``e^(-2 pi i f t / n)`` for the kernel taps t (centre at 0):
-    (H, k_h) over every row frequency, and (2 (W/4 + 1), k_w) over the
-    column frequencies of the four aliases of the half grid's
-    half-spectrum, e2-major. ``f t`` is reduced mod n first, so the phase
-    is exact."""
-    half_w = grid_w // 2
-
-    def basis(freqs, size, n):
-        return np.exp(-2j * np.pi * (np.outer(freqs, np.arange(size) - size // 2) % n) / n)
-    cols = (np.arange(2)[:, None] * half_w + np.arange(half_w // 2 + 1)).ravel()
-    return (basis(np.arange(grid_h), kernel_shape[-2], grid_h),
-            basis(cols, kernel_shape[-1], grid_w))
+def alias_columns(grid_w):
+    """The W grid's columns ``e2 W/2 + f2`` at the two column aliases of the
+    half grid's half-spectrum, f2 in ``0 .. W/4``, e2-major."""
+    return np.r_[:grid_w // 4 + 1, grid_w // 2:grid_w // 2 + grid_w // 4 + 1]
 
 
-def _transfers(layers, scales, targets, grid_h, grid_w):
-    """Each layer's per-frequency map from its shrunk bands to its target.
+def _transfer(layer, scale, target, grid_h, grid_w):
+    """The layer's per-frequency map from its shrunk bands to its target.
 
-    Layer l's transfer ``t`` is complex (4C, 4C, H/2, W/4 + 1), channels
-    band-major: ``t[s, r]`` is the coefficient of input band-channel s in
-    output r at every frequency of the half grid's half-spectrum, for
-    ``scales[l]`` times (analysis by ``targets[l]``) o conv o (synthesis by
-    the layer's family); a target of None is the polyphase split of the
-    output. The synthesis ``M`` takes the bands to the four aliases of the
-    full grid, where the conv is the kernel's channel matrix at each (a DFT
-    of its taps, centre tap at the origin as in ``tensorops._kernel_rfft``),
-    and the analysis is ``M^H / 4``. The layers of one (family, target)
-    pair are built together.
+    Complex (4C, 4C, H/2, W/4 + 1), channels band-major: ``t[s, r]`` is the
+    coefficient of input band-channel s in output r at every frequency of
+    the half grid's half-spectrum, for ``scale`` times (analysis by
+    ``target``) o conv o (synthesis by the layer's family); a target of
+    None is the polyphase split of the output. The synthesis ``M`` takes
+    the bands to the four aliases of the full grid, where the conv is the
+    kernel's channel matrix at each (``tensorops.kernel_spectrum``), and
+    the analysis is ``M^H / 4``.
     """
-    half_h = grid_h // 2
-    bases, pairs = {}, {}
-    for i, (layer, target) in enumerate(zip(layers, targets)):
-        key = (layer.family.name, target and target.name)
-        pairs.setdefault(key, (layer.family, target, []))[2].append(i)
-    out = [None] * len(layers)
-    for fam, target, idx in pairs.values():
-        # the kernels' spectra at the aliases, (e1 e2, layer, i, o, f1, f2)
-        spec = []
-        for i in idx:
-            kernel = layers[i].kernel * (0.25 * scales[i])
-            if kernel.shape not in bases:
-                bases[kernel.shape] = tap_bases(kernel.shape, grid_h, grid_w)
-            rows, cols = bases[kernel.shape]
-            spec.append(rows @ kernel @ cols.T)
-        c = spec[0].shape[0]
-        k = np.stack(spec).reshape(len(idx), c, c, 2, half_h, 2, -1)
-        k = k.transpose(3, 5, 0, 2, 1, 4, 6).reshape((4, len(idx), c, c, half_h, -1))
-        mi, mo = band_aliases(fam, grid_h, grid_w), np.conj(band_aliases(target, grid_h, grid_w))
-        # sum over the aliases e of M_in[e, J] K[e, o, i] conj(M_out[e, j])
-        t = np.zeros((len(idx), 4, c, 4, c) + k.shape[-2:], dtype=np.complex128)
-        for e in range(4):
-            t += (k[e][:, None, :, None] * (mi[e][:, None] * mo[e][None, :])[:, None, :, None])
-        t = t.reshape((len(idx), 4 * c, 4 * c) + k.shape[-2:])
-        for j, i in enumerate(idx):
-            out[i] = t[j]
-    return out
+    c, half_h = layer.kernel.shape[0], grid_h // 2
+    # the kernel's spectrum at the aliases, (e1 e2, i, o, f1, f2)
+    k = kernel_spectrum(layer.kernel * (0.25 * scale), grid_h, grid_w,
+                        alias_columns(grid_w)).reshape(c, c, 2, half_h, 2, -1)
+    k = k.transpose(2, 4, 1, 0, 3, 5).reshape(4, c, c, half_h, -1)
+    mi = band_aliases(layer.family, grid_h, grid_w)
+    mo = np.conj(band_aliases(target, grid_h, grid_w))
+    # sum over the aliases e of M_in[e, J] K[e, o, i] conj(M_out[e, j])
+    t = np.zeros((4, c, 4, c) + k.shape[-2:], dtype=np.complex128)
+    for e in range(4):
+        t += k[e][None, :, None] * (mi[e][:, None] * mo[e][None, :])[:, None, :, None]
+    return t.reshape((4 * c, 4 * c) + k.shape[-2:])
 
 
 def forward_steps(layers, eps, norms, grid_h, grid_w):
@@ -266,13 +243,14 @@ def forward_steps(layers, eps, norms, grid_h, grid_w):
     its target is the next layer's family, None (the polyphase split of the
     output) for the last. Built afresh on every call.
     """
-    scales = [1.0 / ((s + NORM_GUARD) * gain_denominator(layer.alpha, eps))
-              for layer, s in zip(layers, norms)]
     targets = [layer.family for layer in layers[1:]] + [None]
-    transfers = _transfers(layers, scales, targets, grid_h, grid_w)
-    return [(layer.family, target, layer.alpha, scale,
-             layer.thresholds().reshape((-1, 1) + layer.raw_thresholds.shape[2:]), t)
-            for layer, target, scale, t in zip(layers, targets, scales, transfers)]
+    steps = []
+    for layer, s, target in zip(layers, norms, targets):
+        scale = 1.0 / ((s + NORM_GUARD) * gain_denominator(layer.alpha, eps))
+        steps.append((layer.family, target, layer.alpha, scale,
+                      layer.thresholds().reshape((-1, 1) + layer.raw_thresholds.shape[2:]),
+                      _transfer(layer, scale, target, grid_h, grid_w)))
+    return steps
 
 
 def wavelet_state(x, fam):
@@ -401,7 +379,10 @@ def network_forward(y, net, x0=None):
     if chunks == 1:
         run(*(p[0] for p in parts))
     else:
-        with ThreadPoolExecutor(min(chunks, len(os.sched_getaffinity(0)))) as pool:
+        # sched_getaffinity exists only on Linux
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ThreadPoolExecutor(min(chunks, cpus)) as pool:
             # list() re-raises the first error of any chunk
             list(pool.map(run, *parts))
     return result.reshape(y.shape)

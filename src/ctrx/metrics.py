@@ -53,12 +53,6 @@ def _gaussian_taps(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
     return g / g.sum()
 
 
-def gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
-    """Normalized 2D Gaussian window used by SSIM."""
-    g = _gaussian_taps(size, sigma)
-    return np.outer(g, g)
-
-
 def _gaussian_filter_valid(x, taps):
     """Valid correlation of the last two axes of ``x`` with ``outer(taps, taps)``."""
     n = taps.shape[0]

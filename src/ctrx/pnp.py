@@ -3,13 +3,15 @@
 The degradation is ``y = S B x + eta`` with ``B`` a known circular blur
 applied per channel and ``S`` decimation by an integer stride (stride 1 means
 deblurring); ``B`` and ``B^T`` multiply each channel's half-spectrum by
-``B_hat`` and its conjugate, built once per model and grid. PnP-FBS iterates
+``B_hat`` and its conjugate, the blur's ``tensorops.kernel_spectrum`` built
+once per model and grid. PnP-FBS iterates
 ``x <- D(x - alpha * grad f(x))`` for a denoiser ``D``; when ``D`` is
 contractive with constant ``L_D`` and ``L_D * ||I - alpha A^T A|| < 1`` the
 iteration is a contraction, so the residuals decay geometrically to a unique
 fixed point.
 :func:`composite_contraction_bound` evaluates that product exactly, in closed
-form over the frequencies of the decimated grid. For stride > 1 the norm is
+form over the frequencies of the decimated grid, from the blur's spectrum on
+the full grid. For stride > 1 the norm is
 never below 1 (decimation leaves ``A^T A`` a null space), so a certified
 superresolution solve needs ``L_D < 1``. PnP-DRS swaps the denoiser into
 Douglas-Rachford splitting, with the quadratic prox solved exactly in closed
@@ -33,7 +35,7 @@ from scipy import fft
 from .errors import DimensionError, DivergenceError, ValidationError
 from .io import Rng, add_awgn, open_new
 from .metrics import psnr
-from .tensorops import _kernel_rfft, as_image, freq_response
+from .tensorops import as_image, kernel_spectrum
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 500
@@ -71,7 +73,7 @@ class ForwardModel:
         """``B_hat`` on an H x W grid: the blur's half-spectrum, read-only, cached."""
         key = (grid_h, grid_w)
         if key not in self._spectra:
-            bf = _kernel_rfft(self.blur[None, None], grid_h, grid_w)[0, 0]
+            bf = kernel_spectrum(self.blur, grid_h, grid_w)
             bf.flags.writeable = False
             self._spectra[key] = bf
         return self._spectra[key]
@@ -213,7 +215,7 @@ def _alias_spectrum(model, grid_h, grid_w):
     if grid_h % s or grid_w % s:
         raise DimensionError(
             f"grid {grid_h}x{grid_w} not divisible by stride {s}")
-    bf = freq_response(model.blur[None, None], grid_h, grid_w)[:, :, 0, 0]
+    bf = kernel_spectrum(model.blur, grid_h, grid_w, np.arange(grid_w))
     # the aliases of decimated frequency k are k + (m H/s, n W/s), 0 <= m, n < s
     aliases = (np.abs(bf) ** 2).reshape(s, grid_h // s, s, grid_w // s)
     return aliases.sum(axis=(0, 2)) / s ** 2

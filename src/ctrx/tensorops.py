@@ -4,9 +4,10 @@ Images are float64 arrays of shape ``(..., C, H, W)``. Kernels are float64
 arrays of shape ``(c_out, c_in, k_h, k_w)`` with odd spatial extents.
 
 Convention: true convolution under periodic boundary, with the kernel's
-center tap ``(k_h//2, k_w//2)`` sitting at the spatial origin. The padded
-kernel is circularly shifted so that the center tap lands on DFT index
-``(0, 0)`` before the FFT; this makes spatial convolution and per-frequency
+center tap ``(k_h//2, k_w//2)`` sitting at the spatial origin. Every kernel
+spectrum in ctrx is :func:`kernel_spectrum`, the DFT of the taps at those
+offsets on any set of columns (the trainer's kernel gradient is the adjoint
+of its :func:`tap_bases`); this makes spatial convolution and per-frequency
 matrix multiplication agree to machine precision.
 
 Images and kernels are real, so their spectra are conjugate-symmetric:
@@ -18,13 +19,11 @@ matrix at ``-f`` is the complex conjugate of the one at ``f``, and a
 matrix and its conjugate have the same singular values, so the half
 covers every singular value of the full grid (Sedghi, Gupta & Long, "The
 Singular Values of Convolutional Layers", ICLR 2019).
-:func:`freq_response` alone returns the full ``H x W`` grid.
 
 No convolution runs in space: ``ctrx.layers`` folds each layer's
 convolution, with its wavelet synthesis and the next analysis, into one
 matrix per frequency of the half grid, and ``ctrx.pnp`` multiplies by the
-blur's :func:`_kernel_rfft` (same centre-tap convention).
-:func:`conv_operator_norm` gives every layer its normalizer.
+blur's spectrum. :func:`conv_operator_norm` gives every layer its normalizer.
 
 :func:`conv_operator_norm` runs the SVD only on the frequencies that can
 hold the maximum: two upper bounds on each frequency's Gram matrix
@@ -37,7 +36,6 @@ about three in four remain, and forming the bounds is overhead.
 """
 
 import numpy as np
-from scipy import fft
 
 from .errors import DimensionError, ValidationError
 
@@ -73,42 +71,31 @@ def as_kernel(k, name="kernel"):
     return k
 
 
-def _padded_kernel(k, grid_h, grid_w):
-    """The kernel zero-padded to the grid, center tap at the origin.
+def tap_bases(kernel_shape, grid_h, grid_w, cols):
+    """DFT rows ``e^(-2 pi i f t / n)`` for the kernel taps t (centre at 0):
+    (H, k_h) over every row frequency, and (len(cols), k_w) over the column
+    frequencies ``cols``. ``f t`` is reduced mod n first, so the phase is
+    exact."""
 
-    Returns a real array of shape (c_out, c_in, H, W).
-    """
-    c_out, c_in, k_h, k_w = k.shape
+    def basis(freqs, size, n):
+        return np.exp(-2j * np.pi * (np.outer(freqs, np.arange(size) - size // 2) % n) / n)
+    return (basis(np.arange(grid_h), kernel_shape[-2], grid_h),
+            basis(cols, kernel_shape[-1], grid_w))
+
+
+def kernel_spectrum(k, grid_h, grid_w, cols=None):
+    """Complex (..., H, len(cols)) channel matrices of the circular conv by
+    ``k``, (..., k_h, k_w): the DFT of the taps, centre tap at the origin,
+    at every row frequency and the column frequencies ``cols`` of the H x W
+    grid (``None``: the half-spectrum ``0 .. W//2``), which must cover k."""
+    k_h, k_w = k.shape[-2:]
     if grid_h < k_h or grid_w < k_w:
         raise DimensionError(
             f"grid {grid_h}x{grid_w} smaller than kernel {k_h}x{k_w}")
-    pad = np.zeros((c_out, c_in, grid_h, grid_w), dtype=np.float64)
-    rows = (np.arange(k_h) - k_h // 2) % grid_h
-    cols = (np.arange(k_w) - k_w // 2) % grid_w
-    pad[:, :, rows[:, None], cols[None, :]] = k
-    return pad
-
-
-def _kernel_rfft(k, grid_h, grid_w):
-    """Half-spectrum of the padded kernel: complex (c_out, c_in, H, W//2 + 1)."""
-    return fft.rfft2(_padded_kernel(k, grid_h, grid_w), axes=(-2, -1))
-
-
-def freq_response(k, grid_h, grid_w):
-    """Per-frequency channel-mixing matrices of the circular convolution.
-
-    Args:
-        k: Kernel array of shape (c_out, c_in, k_h, k_w).
-        grid_h, grid_w: Grid the convolution acts on; must cover the kernel.
-
-    Returns:
-        Complex array of shape (H, W, c_out, c_in); entry ``[u, v]`` is the
-        channel matrix at frequency ``(u, v)``, centre tap at the origin, so
-        that convolution in space is per-frequency matrix multiplication.
-    """
-    k = as_kernel(k)
-    kf = np.fft.fft2(_padded_kernel(k, grid_h, grid_w), axes=(-2, -1))
-    return np.transpose(kf, (2, 3, 0, 1))
+    if cols is None:
+        cols = np.arange(grid_w // 2 + 1)
+    rows, cols = tap_bases(k.shape, grid_h, grid_w, cols)
+    return rows @ k @ cols.T
 
 
 def conv_operator_norm(k, grid_h, grid_w):
@@ -147,7 +134,7 @@ def conv_operator_norm(k, grid_h, grid_w):
     runs on the unscaled matrices.
     """
     k = as_kernel(k)
-    kf = _kernel_rfft(k, grid_h, grid_w)
+    kf = kernel_spectrum(k, grid_h, grid_w)
     c_out, c_in = kf.shape[:2]
     if c_out == 1 and c_in == 1:
         return float(np.abs(kf).max())

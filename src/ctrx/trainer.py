@@ -26,10 +26,11 @@ from scipy.special import expit
 
 from .errors import DimensionError, TrainingFailureError, ValidationError
 from .io import Rng, add_awgn, open_new
-from .layers import (LayerParams, NetworkParams, band_aliases, band_layout,
-                     constrain_params, contraction_certificate, forward_steps,
-                     gain_denominator, network_forward, run_network, tap_bases)
+from .layers import (LayerParams, NetworkParams, alias_columns, band_aliases,
+                     band_layout, constrain_params, contraction_certificate,
+                     forward_steps, gain_denominator, network_forward, run_network)
 from .metrics import psnr
+from .tensorops import tap_bases
 
 
 DECAY_FACTOR = 0.1
@@ -88,8 +89,10 @@ def _rfft_weights(n):
 
 def _spectral_dot(a, b, n):
     """Inner product of the real signals on an n x n grid whose spectra over
-    the last two axes (``rfft2``) are ``a`` and ``b``, by Parseval."""
-    return float(np.vdot(a * _rfft_weights(n), b).real) / (n * n)
+    the last two axes (``rfft2``) are ``a`` and ``b``, by Parseval. A ufunc
+    sum rather than ``np.vdot``, whose BLAS rounding depends on the thread
+    count."""
+    return float(np.sum((np.conj(a) * b).real * _rfft_weights(n))) / (n * n)
 
 
 def _adjoint(g, transfer):
@@ -128,7 +131,7 @@ def _kernel_gradient(w, gout, scale, fam, target, kshape, grid):
     corr = np.matmul(gv, np.conj(u).swapaxes(-1, -2)).transpose(2, 3, 1, 0)
     corr = corr.reshape(c, c, 2, 2, half, -1) * _rfft_weights(half)
     corr = corr.transpose(0, 1, 2, 4, 3, 5).reshape(c, c, grid, -1)
-    rows, cols = tap_bases(kshape, grid, grid)
+    rows, cols = tap_bases(kshape, grid, grid, alias_columns(grid))
     return (np.conj(rows).T @ corr @ np.conj(cols)).real / (grid * grid)
 
 

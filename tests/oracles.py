@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the run path against.
 
-None of these runs in a ``ctrx`` command. The circular convolution works in
-space on whole images, the dense operator and its norm materialize the
+None of these runs in a ``ctrx`` command. The kernel's spectrum is the FFT
+of the kernel zero-padded to the grid, the circular convolution multiplies
+by it on whole images, the dense operator and its norm materialize the
 convolution column by column, ``idwt2`` is the inverse (= adjoint) of
 ``ctrx.wavelets.dwt2`` as a product with the transposed analysis matrices,
 and ``correlate_valid`` is SSIM's 2-D window filter as one weighted sum per
@@ -12,12 +13,27 @@ import numpy as np
 from scipy import fft
 
 from ctrx.errors import DimensionError, ValidationError
-from ctrx.tensorops import _kernel_rfft, as_image, as_kernel
+from ctrx.tensorops import as_image, as_kernel
 from ctrx.wavelets import _analysis_matrix
 
 
 class SizeGuardError(ValidationError):
     """Raised when an operation would materialize something too large."""
+
+
+def padded_fft_spectrum(k, grid_h, grid_w):
+    """Complex (c_out, c_in, H, W) spectrum of the kernel on the full grid:
+    the FFT of the kernel zero-padded to the grid and circularly shifted so
+    that its centre tap lands on index (0, 0)."""
+    c_out, c_in, k_h, k_w = k.shape
+    if grid_h < k_h or grid_w < k_w:
+        raise DimensionError(
+            f"grid {grid_h}x{grid_w} smaller than kernel {k_h}x{k_w}")
+    pad = np.zeros((c_out, c_in, grid_h, grid_w), dtype=np.float64)
+    rows = (np.arange(k_h) - k_h // 2) % grid_h
+    cols = (np.arange(k_w) - k_w // 2) % grid_w
+    pad[:, :, rows[:, None], cols[None, :]] = k
+    return np.fft.fft2(pad, axes=(-2, -1))
 
 
 def conv2d_circular(x, k):
@@ -37,7 +53,7 @@ def conv2d_circular(x, k):
         raise DimensionError(
             f"input has {x.shape[-3]} channels, kernel expects {k.shape[1]}")
     h, w = x.shape[-2:]
-    kf = _kernel_rfft(k, h, w)
+    kf = padded_fft_spectrum(k, h, w)[..., :w // 2 + 1]
     xf = fft.rfft2(x, axes=(-2, -1))
     yf = np.einsum("oihw,...ihw->...ohw", kf, xf)
     return fft.irfft2(yf, s=(h, w), axes=(-2, -1))

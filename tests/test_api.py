@@ -4,6 +4,7 @@ ships."""
 import ctrx
 import ctrx.errors
 import ctrx.layers
+import ctrx.metrics
 import ctrx.pnp
 import ctrx.tensorops
 import ctrx.wavelets
@@ -12,11 +13,13 @@ import ctrx.wavelets
 # path's own code (see README, "API changes")
 REMOVED = {
     ctrx.tensorops: ("conv2d_circular", "_dense_matrix", "dense_norm_oracle",
-                     "dense_top_singular_vector"),
+                     "dense_top_singular_vector", "_padded_kernel", "_kernel_rfft",
+                     "freq_response"),
     ctrx.wavelets: ("idwt2", "soft_threshold_hf"),
     ctrx.errors: ("SizeGuardError",),
-    ctrx.layers: ("layer_forward",),
+    ctrx.layers: ("layer_forward", "tap_bases", "_transfers"),
     ctrx.pnp: ("_prox_datafit",),
+    ctrx.metrics: ("gaussian_window",),
 }
 
 

@@ -233,10 +233,9 @@ def test_split_forward_matches_the_training_forward():
     assert loss == loss_mse(network_forward(y, net), target)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 8])
-def test_split_forward_threads_are_capped(monkeypatch, cpus):
-    net = init_network(depth=2, patch=64, seed=10)
-    y = np.random.default_rng(19).random((81, 1, 64, 64))
+def pool_sizes(monkeypatch, y, net):
+    """The worker counts the split forward asks its pools for; its output is
+    checked bitwise against the unsplit forward."""
     want = unsplit_forward(monkeypatch, y, net)
     workers = []
     pool = ctrx.layers.ThreadPoolExecutor
@@ -244,11 +243,30 @@ def test_split_forward_threads_are_capped(monkeypatch, cpus):
     def spy(max_workers):
         workers.append(max_workers)
         return pool(max_workers)
-    monkeypatch.setattr(ctrx.layers.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
     monkeypatch.setattr(ctrx.layers, "ThreadPoolExecutor", spy)
     assert np.array_equal(network_forward(y, net), want)
-    assert workers == [min(6, cpus)]   # 6 chunks of 81 patches of 64x64
+    return workers
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_split_forward_threads_are_capped(monkeypatch, cpus):
+    net = init_network(depth=2, patch=64, seed=10)
+    y = np.random.default_rng(19).random((81, 1, 64, 64))
+    monkeypatch.setattr(ctrx.layers.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    # 6 chunks of 81 patches of 64x64
+    assert pool_sizes(monkeypatch, y, net) == [min(6, cpus)]
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 8])
+def test_split_forward_without_sched_getaffinity(monkeypatch, cpus):
+    # os.sched_getaffinity exists only on Linux; elsewhere the pool is sized
+    # by os.cpu_count(), which may return None
+    net = init_network(depth=2, patch=64, seed=10)
+    y = np.random.default_rng(19).random((81, 1, 64, 64))
+    monkeypatch.delattr(ctrx.layers.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(ctrx.layers.os, "cpu_count", lambda: cpus)
+    assert pool_sizes(monkeypatch, y, net) == [min(6, cpus or 1)]
 
 
 def test_one_chunk_batch_runs_inline(monkeypatch):
@@ -492,7 +510,7 @@ def test_transfer_matches_the_spatial_chain(spatial_transfer, case):
     fam = get_family(fam)
     target = target and get_family(target)
     layer = LayerParams(0.5, np.zeros((3, c, patch // 2, patch // 2)), kernel, fam)
-    transfer = ctrx.layers._transfers([layer], [scale], [target], patch, patch)[0]
+    transfer = ctrx.layers._transfer(layer, scale, target, patch, patch)
     assert transfer.shape == (4 * c, 4 * c, patch // 2, patch // 4 + 1)
     bands = rng.standard_normal((4 * c, 2, patch // 2, patch // 2))
     want = spatial_transfer(bands, kernel, scale, fam, target)

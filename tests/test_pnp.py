@@ -15,7 +15,7 @@ from ctrx.pnp import (ForwardModel, _datafit_prox, anisotropic_gaussian_blur,
                       grad_datafit, motion_blur,
                       parse_blur_spec, pnp_drs, pnp_fbs, simulate,
                       sparse_random_blur, trace_to_csv)
-from ctrx.tensorops import _kernel_rfft
+from ctrx.tensorops import kernel_spectrum
 
 
 def test_forward_identity_model():
@@ -59,7 +59,7 @@ def test_cached_blur_spectrum_gives_the_fresh_spectrum_bits():
     for h, w in [(12, 10), (8, 14), (12, 10)]:
         x = rng.random((2, h, w))
         u = rng.random((2, h // 2, w // 2))
-        bf = _kernel_rfft(blur[None, None], h, w)[0, 0]
+        bf = kernel_spectrum(blur, h, w)
         want_fwd = fft.irfft2(fft.rfft2(x) * bf, s=(h, w))[..., ::2, ::2]
         up = np.zeros((2, h, w))
         up[..., ::2, ::2] = u
@@ -84,11 +84,11 @@ def test_models_never_share_a_blur_spectrum():
     taps[2, 2] += 1.0
     c = ForwardModel(taps, stride=2)
     np.testing.assert_array_equal(
-        c.blur_spectrum(8, 8), _kernel_rfft(taps[None, None], 8, 8)[0, 0])
+        c.blur_spectrum(8, 8), kernel_spectrum(taps, 8, 8))
     assert not np.array_equal(c.blur_spectrum(8, 8), a.blur_spectrum(8, 8))
     np.testing.assert_array_equal(
         a.blur_spectrum(8, 8),
-        _kernel_rfft(gaussian_blur(5, 1.0)[None, None], 8, 8)[0, 0])
+        kernel_spectrum(gaussian_blur(5, 1.0), 8, 8))
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrx.errors import DimensionError, ValidationError
-from ctrx.tensorops import _kernel_rfft, conv_operator_norm, freq_response
-from oracles import SizeGuardError, _dense_matrix, conv2d_circular, dense_norm_oracle
+from ctrx.tensorops import conv_operator_norm, kernel_spectrum
+from oracles import (SizeGuardError, _dense_matrix, conv2d_circular, dense_norm_oracle,
+                     padded_fft_spectrum)
 
 
 def identity_kernel(weight=1.0):
@@ -111,6 +112,11 @@ def test_conv_batched_matches_loop():
         np.testing.assert_array_equal(got[i], conv2d_circular(batch[i], k))
 
 
+def freq_response(k, h, w):
+    """(H, W, c_out, c_in): the channel matrix at every frequency of the grid."""
+    return kernel_spectrum(k, h, w, np.arange(w)).transpose(2, 3, 0, 1)
+
+
 def test_freq_response_delta_is_flat():
     fr = freq_response(identity_kernel(), 8, 8)
     np.testing.assert_allclose(fr, np.ones((8, 8, 1, 1)), atol=1e-14)
@@ -136,7 +142,36 @@ def test_freq_response_reproduces_spatial_conv():
 def test_freq_response_grid_too_small():
     k = np.zeros((1, 1, 5, 5))
     with pytest.raises(DimensionError):
-        freq_response(k, 4, 8)
+        kernel_spectrum(k, 4, 8, np.arange(8))
+    with pytest.raises(DimensionError):
+        kernel_spectrum(k, 8, 4)
+
+
+@st.composite
+def spectrum_cases(draw):
+    c_out, c_in = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k_h, k_w = draw(st.sampled_from([1, 3, 5, 7])), draw(st.sampled_from([1, 3, 5, 7]))
+    # kernel-sized, odd, even and non-square grids
+    h = draw(st.sampled_from([k_h, k_h + 1, k_h + 2, 16]))
+    w = draw(st.sampled_from([k_w, k_w + 1, k_w + 3, 13]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).standard_normal((c_out, c_in, k_h, k_w)), h, w
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=spectrum_cases())
+def test_property_kernel_spectrum_is_the_padded_fft(case):
+    k, h, w = case
+    want = padded_fft_spectrum(k, h, w)
+    tol = 1e-13 * np.abs(want).max()
+    full = kernel_spectrum(k, h, w, np.arange(w))
+    assert full.shape == want.shape
+    assert np.abs(full - want).max() <= tol
+    half = kernel_spectrum(k, h, w)
+    assert half.shape == k.shape[:2] + (h, w // 2 + 1)
+    assert np.abs(half - want[..., :w // 2 + 1]).max() <= tol
+    cols = np.array([w - 1, 0, w // 2])
+    assert np.abs(kernel_spectrum(k, h, w, cols) - want[..., cols]).max() <= tol
 
 
 def test_operator_norm_scalar_kernel():
@@ -205,7 +240,7 @@ def test_dense_oracle_size_guard():
 
 def full_svd_norm(k, h, w):
     """The largest singular value over every half-spectrum channel matrix."""
-    kf = _kernel_rfft(k, h, w)
+    kf = kernel_spectrum(k, h, w)
     mats = kf.reshape(k.shape[0], k.shape[1], -1).transpose(2, 0, 1)
     return float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
 

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import fft
@@ -198,6 +204,25 @@ def test_train_deterministic():
         assert a.alpha == b.alpha
         np.testing.assert_array_equal(a.raw_thresholds, b.raw_thresholds)
         np.testing.assert_array_equal(a.kernel, b.kernel)
+
+
+def test_trained_weights_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 3 channels at P=32 and batch 16 give spectra of 27,648 entries, above
+    # the length from which OpenBLAS splits a complex dot product over threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"w{threads}.ctrx"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctrx.cli", "train", "--out", str(out),
+             "--channels", "3", "--depth", "2", "--patch", "32", "--batch", "16",
+             "--epochs", "1", "--patches", "40", "--seed", "3"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_train_rejects_wrong_dataset_shape():
