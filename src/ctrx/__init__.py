@@ -11,13 +11,13 @@ from .pnp import (ForwardModel, apply_adjoint, apply_forward,
                   parse_blur_spec, pnp_drs, pnp_fbs, simulate, trace_to_csv)
 from .tensorops import conv_operator_norm
 from .trainer import TrainConfig, backward, grad_check, loss_mse, synth_patches, train
-from .wavelets import FAMILIES, WaveletCoeffs, dwt2, get_family
+from .wavelets import FAMILIES, dwt2, get_family
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ContractionCertificate", "FAMILIES", "ForwardModel", "LayerParams",
-    "NetworkParams", "TrainConfig", "WaveletCoeffs", "apply_adjoint",
+    "NetworkParams", "TrainConfig", "apply_adjoint",
     "apply_forward", "backward",
     "composite_contraction_bound", "constrain_params",
     "contraction_certificate", "conv_operator_norm",

@@ -66,7 +66,7 @@ def _cover(length, patch, stride):
     return before, padded, np.arange(0, padded - patch + 1, stride)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatchPlan:
     """Geometry of one overlap-add pass over a fixed image size."""
 

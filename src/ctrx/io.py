@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 
 from .errors import CorruptWeightsError, DimensionError, ValidationError
-from .layers import LayerParams, NetworkParams
+from .layers import ALPHA_MIN, LayerParams, NetworkParams
 from .tensorops import as_image
 from .wavelets import FAMILY_CYCLE, get_family
 
@@ -319,6 +319,12 @@ def load_weights(path):
         layers = []
         for i in range(depth):
             alpha = r.block(1)[0]
+            # the certificate's formulas hold only for alpha in this range,
+            # the one constrain_params keeps
+            if not ALPHA_MIN <= alpha <= 1.0 - ALPHA_MIN:
+                raise CorruptWeightsError(
+                    f"layer {i} alpha {alpha} is outside "
+                    f"[{ALPHA_MIN}, {1.0 - ALPHA_MIN}]")
             raw = r.block(thr_count).reshape(3, channels, half, half)
             kshape = tuple(kernel_shapes[i])
             kernel = r.block(int(np.prod(kshape))).reshape(kshape)

@@ -17,8 +17,8 @@ The layers run in the wavelet domain. The state of a patch is the four
 wavelet bands of the next layer's family, (4C, P/2, P/2), band-major. The
 blend is linear, so it runs on the bands against the observation's bands,
 which :func:`wavelet_state` computes once per family with the dense
-``dwt2``; those products are the only place the dense wavelet matrices
-run. A layer's synthesis, convolution and the next family's analysis are
+``dwt2``; those products are the only place a forward runs the dense
+wavelet matrices. A layer's synthesis, convolution and the next family's analysis are
 all circular and shift invariant by two, so together they are one 4C x 4C
 matrix per frequency of the half grid's half-spectrum (the polyphase form
 of the filter bank, built from the kernel's ``tensorops.kernel_spectrum``
@@ -26,7 +26,8 @@ at the four aliases of that frequency, one layer at a time by
 :func:`_transfer`). The ll band is never thresholded, so it stays a
 spectrum from layer to layer; only the three detail bands pass through
 ``irfft2``/``rfft2`` around the threshold.
-The last layer maps to the polyphase split of the output image. Every
+The last layer's target is ``wavelets.POLYPHASE``, the polyphase split of
+the output image, which :func:`polyphase_image` undoes. Every
 forward runs the constants of :func:`forward_steps` with :func:`run_network`;
 :meth:`NetworkParams.steps` keeps the network's own, on its patch grid.
 
@@ -54,8 +55,8 @@ from scipy import fft
 from .errors import CertificateError, DimensionError, ValidationError
 from .tensorops import (NORM_GUARD, as_image, as_kernel, conv_operator_norm,
                         kernel_spectrum)
-from .wavelets import (FAMILY_CYCLE, WaveletFamily, dwt2, get_family, shrink,
-                       synthesis_aliases)
+from . import wavelets
+from .wavelets import FAMILY_CYCLE, POLYPHASE, WaveletFamily, dwt2, get_family, shrink
 
 ALPHA_MIN = 1e-3
 DEFAULT_EPS = 1e-3
@@ -63,6 +64,8 @@ DEFAULT_EPS = 1e-3
 # then fit in cache and are reused by the allocator instead of each being a
 # fresh mmap of the whole batch's size
 CHUNK_BYTES = 512 * 1024
+# std of the Gaussian noise init_network adds to its identity kernels
+KERNEL_NOISE = 0.05
 
 
 def softplus(raw):
@@ -78,7 +81,7 @@ def softplus_inverse(value):
     return value + np.log(-np.expm1(-value))
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerParams:
     """Parameters of one contractive layer.
 
@@ -91,7 +94,7 @@ class LayerParams:
     raw_thresholds: np.ndarray
     kernel: np.ndarray
     family: WaveletFamily
-    _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _norm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.alpha = float(self.alpha)
@@ -121,7 +124,7 @@ class LayerParams:
         return self._norm_cache[key]
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkParams:
     """Ordered layer list plus the shared layer epsilon and patch geometry."""
 
@@ -129,7 +132,7 @@ class NetworkParams:
     eps: float = DEFAULT_EPS
     patch: int = 64
     channels: int = 1
-    _steps: tuple = field(default=None, init=False, repr=False, compare=False)
+    _steps: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.layers) < 1:
@@ -191,31 +194,14 @@ def band_layout(bands):
     return bands.transpose(0, 2, 1, 3, 4).reshape((n * c, b) + bands.shape[3:])
 
 
-def band_aliases(fam, grid_h, grid_w):
-    """Complex (4, 4, H/2, W/4 + 1) 2D synthesis: entry ``[e, j]`` takes band
-    j = (a, b) at each frequency of the half grid's half-spectrum to alias
-    e = (e1, e2) of the full grid, pairs flattened row-major (``fam=None``:
-    the polyphase split)."""
-    rows = synthesis_aliases(fam, grid_h).transpose(1, 2, 0)
-    cols = synthesis_aliases(fam, grid_w)[:grid_w // 4 + 1].transpose(1, 2, 0)
-    m = rows[:, None, :, None, :, None] * cols[None, :, None, :, None, :]
-    return m.reshape((4, 4) + m.shape[-2:])
-
-
-def alias_columns(grid_w):
-    """The W grid's columns ``e2 W/2 + f2`` at the two column aliases of the
-    half grid's half-spectrum, f2 in ``0 .. W/4``, e2-major."""
-    return np.r_[:grid_w // 4 + 1, grid_w // 2:grid_w // 2 + grid_w // 4 + 1]
-
-
 def _transfer(layer, scale, target, grid_h, grid_w):
     """The layer's per-frequency map from its shrunk bands to its target.
 
     Complex (4C, 4C, H/2, W/4 + 1), channels band-major: ``t[s, r]`` is the
     coefficient of input band-channel s in output r at every frequency of
-    the half grid's half-spectrum, for ``scale`` times (analysis by
-    ``target``) o conv o (synthesis by the layer's family); a target of
-    None is the polyphase split of the output. The synthesis ``M`` takes
+    the half grid's half-spectrum, for ``scale`` times (analysis by the
+    family ``target``) o conv o (synthesis by the layer's family). The
+    synthesis ``M`` (``wavelets.band_aliases``) takes
     the bands to the four aliases of the full grid, where the conv is the
     kernel's channel matrix at each (``tensorops.kernel_spectrum``), and
     the analysis is ``M^H / 4``.
@@ -223,10 +209,10 @@ def _transfer(layer, scale, target, grid_h, grid_w):
     c, half_h = layer.kernel.shape[0], grid_h // 2
     # the kernel's spectrum at the aliases, (e1 e2, i, o, f1, f2)
     k = kernel_spectrum(layer.kernel * (0.25 * scale), grid_h, grid_w,
-                        alias_columns(grid_w)).reshape(c, c, 2, half_h, 2, -1)
+                        wavelets.alias_columns(grid_w)).reshape(c, c, 2, half_h, 2, -1)
     k = k.transpose(2, 4, 1, 0, 3, 5).reshape(4, c, c, half_h, -1)
-    mi = band_aliases(layer.family, grid_h, grid_w)
-    mo = np.conj(band_aliases(target, grid_h, grid_w))
+    mi = wavelets.band_aliases(layer.family, grid_h, grid_w)
+    mo = np.conj(wavelets.band_aliases(target, grid_h, grid_w))
     # sum over the aliases e of M_in[e, J] K[e, o, i] conj(M_out[e, j])
     t = np.zeros((4, c, 4, c) + k.shape[-2:], dtype=np.complex128)
     for e in range(4):
@@ -240,10 +226,10 @@ def forward_steps(layers, eps, norms, grid_h, grid_w):
 
     The one place they are computed: a layer's conv is scaled by one over
     its norm in ``norms`` (plus NORM_GUARD) times its gain denominator, and
-    its target is the next layer's family, None (the polyphase split of the
-    output) for the last. Built afresh on every call.
+    its target is the next layer's family, ``POLYPHASE`` (the polyphase
+    split of the output) for the last. Built afresh on every call.
     """
-    targets = [layer.family for layer in layers[1:]] + [None]
+    targets = [layer.family for layer in layers[1:]] + [POLYPHASE]
     steps = []
     for layer, s, target in zip(layers, norms, targets):
         scale = 1.0 / ((s + NORM_GUARD) * gain_denominator(layer.alpha, eps))
@@ -257,9 +243,9 @@ def wavelet_state(x, fam):
     """(B, C, H, W) images as a state of the step: the spectrum of their ll
     band, complex (C, B, H/2, W/4 + 1), and their three detail bands,
     (3C, B, H/2, W/2)."""
-    c = dwt2(x, fam)
-    return (fft.rfft2(band_layout(c.ll[None])),
-            band_layout(np.stack((c.lh, c.hl, c.hh))))
+    bands = band_layout(dwt2(x, fam))
+    c = len(bands) // 4
+    return fft.rfft2(bands[:c]), bands[c:]
 
 
 def mix(bands, transfer):
@@ -466,8 +452,7 @@ def constrain_params(net):
 
 
 def init_network(depth=30, patch=64, channels=1, kernel_size=3, eps=DEFAULT_EPS,
-                 seed=0, alpha_range=(0.1, 0.7), threshold_mean=0.05,
-                 kernel_noise=0.05):
+                 seed=0, alpha_range=(0.1, 0.7), threshold_mean=0.05):
     """Random constrained initialization.
 
     Kernels start at identity plus Gaussian noise so the untrained network is
@@ -483,7 +468,7 @@ def init_network(depth=30, patch=64, channels=1, kernel_size=3, eps=DEFAULT_EPS,
     for i in range(depth):
         alpha = float(rng.uniform(*alpha_range))
         raw = raw0 + 0.1 * rng.standard_normal((3, channels, half, half))
-        kernel = kernel_noise * rng.standard_normal(
+        kernel = KERNEL_NOISE * rng.standard_normal(
             (channels, channels, kernel_size, kernel_size))
         center = kernel_size // 2
         for c in range(channels):

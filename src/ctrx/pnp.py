@@ -124,7 +124,7 @@ def simulate(x, model, rng=None):
     return y
 
 
-@dataclass
+@dataclass(eq=False)
 class PnPTrace:
     """Per-iteration record of a PnP run."""
 

@@ -26,11 +26,12 @@ from scipy.special import expit
 
 from .errors import DimensionError, TrainingFailureError, ValidationError
 from .io import Rng, add_awgn, open_new
-from .layers import (LayerParams, NetworkParams, alias_columns, band_aliases,
-                     band_layout, constrain_params, contraction_certificate,
-                     forward_steps, gain_denominator, network_forward, run_network)
+from .layers import (LayerParams, NetworkParams, band_layout, constrain_params,
+                     contraction_certificate, forward_steps, gain_denominator,
+                     network_forward, run_network)
 from .metrics import psnr
 from .tensorops import tap_bases
+from .wavelets import POLYPHASE, alias_columns, band_aliases, dwt2
 
 
 DECAY_FACTOR = 0.1
@@ -59,7 +60,7 @@ class TrainConfig:
             raise ValidationError("decay epochs must be ascending")
 
 
-@dataclass
+@dataclass(eq=False)
 class GradientSet:
     """Per-layer gradients mirroring LayerParams shapes."""
 
@@ -175,8 +176,7 @@ def backward(net, y, target):
     p, c = net.patch, net.channels
     half = p // 2
     # the gradient at the output, as the spectrum of its polyphase split
-    phases = g.reshape(-1, c, half, 2, half, 2).transpose(3, 5, 0, 1, 2, 4)
-    gf = fft.rfft2(band_layout(phases.reshape((4,) + phases.shape[2:])))
+    gf = fft.rfft2(band_layout(dwt2(g, POLYPHASE)))
     grads = GradientSet([None] * net.depth, [None] * net.depth, [None] * net.depth)
     for idx in range(net.depth - 1, -1, -1):
         layer = net.layers[idx]

@@ -11,9 +11,10 @@ their synthesis is the polyphase form below.
 The layers apply the filter bank in its polyphase form (Vaidyanathan,
 *Multirate Systems and Filter Banks*, 1993): the band outputs are shift
 invariant by two, so on the n/2 grid every frequency w couples only the two
-bands and the two aliases w, w + n/2 of the n grid. :func:`synthesis_aliases`
-gives that 2 x 2 matrix per frequency, built from the rows of A and cached
-like A.
+bands and the two aliases w, w + n/2 of the n grid. :func:`band_aliases`
+gives that coupling on a 2D grid, built from the rows of A and cached like
+A. :data:`POLYPHASE`, whose A is the even/odd sample split, is the family
+the last layer maps to; it is not a wavelet and no layer uses it.
 
 Subband naming is (row filter, column filter): ``lh`` is lowpass over rows
 and highpass over columns, ``hl`` the reverse, ``hh`` highpass in both.
@@ -59,7 +60,7 @@ def _qmf(lo):
     return signs * lo[::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletFamily:
     """Orthonormal two-channel filter bank."""
 
@@ -71,6 +72,8 @@ class WaveletFamily:
 HAAR = WaveletFamily("haar", np.array([1.0, 1.0]) / _SQRT2, _qmf(np.array([1.0, 1.0]) / _SQRT2))
 DB4 = WaveletFamily("db4", _DB4_LO, _qmf(_DB4_LO))
 SYM4 = WaveletFamily("sym4", _SYM4_LO, _qmf(_SYM4_LO))
+# band 0 holds the even samples and band 1 the odd ones
+POLYPHASE = WaveletFamily("polyphase", np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 FAMILIES = {f.name: f for f in (HAAR, DB4, SYM4)}
 
@@ -84,16 +87,6 @@ def get_family(name):
     except KeyError:
         raise ValidationError(
             f"unknown wavelet family {name!r}; choose from {sorted(FAMILIES)}") from None
-
-
-@dataclass(frozen=True)
-class WaveletCoeffs:
-    """Single-level subbands, each of shape (..., C, H/2, W/2)."""
-
-    ll: np.ndarray
-    lh: np.ndarray
-    hl: np.ndarray
-    hh: np.ndarray
 
 
 _MATRICES = {}
@@ -117,54 +110,66 @@ def _analysis_matrix(fam, n):
     return _MATRICES[key]
 
 
-_ALIASES = {}
-
-
-def synthesis_aliases(fam, n):
+def _synthesis_aliases(fam, n):
     """Complex (n/2, 2, 2) synthesis along an axis of even length n, per frequency.
 
     Entry ``[w, e, b]`` takes band b's spectrum (b = 0 lowpass, 1 highpass)
     at frequency w of the n/2 grid to the synthesized signal's spectrum at
     frequency w + e n/2 of the n grid; both spectra are unnormalized DFTs.
-    ``fam=None`` is the polyphase split instead, band b holding the samples
-    ``x[2j + b]``. Each matrix is sqrt(2) times a unitary one, so the
-    analysis of the same frequency is its conjugate transpose over 2.
-    Read-only and cached per taps and n, like :func:`_analysis_matrix`.
+    Each matrix is sqrt(2) times a unitary one, so the analysis of the same
+    frequency is its conjugate transpose over 2.
     """
-    key = (n,) if fam is None else (fam.lowpass.tobytes(), fam.highpass.tobytes(), n)
+    half = n // 2
+    # spectrum of sample phase p at alias e: (-1)^(e p) e^(-2 pi i w p / n)
+    phase = np.exp(-2j * np.pi * np.arange(half) / n)
+    m = np.ones((half, 2, 2), dtype=np.complex128)
+    m[:, 0, 1] = phase
+    m[:, 1, 1] = -phase
+    # band b's output j reads x[2(j + d) + p] with weight A[b n/2, 2d + p], so
+    # the polyphase synthesis is the DFT of those weights over d
+    taps = _analysis_matrix(fam, n)[[0, half]].reshape(2, half, 2)
+    return m @ np.fft.fft(taps, axis=1).transpose(1, 2, 0)
+
+
+_ALIASES = {}
+
+
+def band_aliases(fam, grid_h, grid_w):
+    """Complex (4, 4, H/2, W/4 + 1) 2D synthesis: entry ``[e, j]`` takes band
+    j = (a, b) at each frequency of the half grid's half-spectrum to alias
+    e = (e1, e2) of the full grid, pairs flattened row-major. Read-only and
+    cached per taps and grid, like :func:`_analysis_matrix`."""
+    key = (fam.lowpass.tobytes(), fam.highpass.tobytes(), grid_h, grid_w)
     if key not in _ALIASES:
-        half = n // 2
-        # spectrum of sample phase p at alias e: (-1)^(e p) e^(-2 pi i w p / n)
-        phase = np.exp(-2j * np.pi * np.arange(half) / n)
-        m = np.ones((half, 2, 2), dtype=np.complex128)
-        m[:, 0, 1] = phase
-        m[:, 1, 1] = -phase
-        if fam is not None:
-            # band b's output j reads x[2(j + d) + p] with weight A[b n/2, 2d + p],
-            # so the polyphase synthesis is the DFT of those weights over d
-            taps = _analysis_matrix(fam, n)[[0, half]].reshape(2, half, 2)
-            m = m @ np.fft.fft(taps, axis=1).transpose(1, 2, 0)
+        rows = _synthesis_aliases(fam, grid_h).transpose(1, 2, 0)
+        cols = _synthesis_aliases(fam, grid_w)[:grid_w // 4 + 1].transpose(1, 2, 0)
+        m = rows[:, None, :, None, :, None] * cols[None, :, None, :, None, :]
+        m = m.reshape((4, 4) + m.shape[-2:])
         m.flags.writeable = False
         _ALIASES[key] = m
     return _ALIASES[key]
 
 
+def alias_columns(grid_w):
+    """The W grid's columns ``e2 W/2 + f2`` at the two column aliases of the
+    half grid's half-spectrum, f2 in ``0 .. W/4``, e2-major."""
+    return np.r_[:grid_w // 4 + 1, grid_w // 2:grid_w // 2 + grid_w // 4 + 1]
+
+
 def dwt2(x, fam):
     """Single-level periodized 2D analysis, applied independently per channel.
 
-    Requires even H and W. Orthonormal: the coefficient norm equals the input
-    norm (Parseval), and the transposed matrices invert it exactly.
+    Requires even H and W. Returns the bands (ll, lh, hl, hh) stacked first,
+    shape (4, ..., C, H/2, W/2). Orthonormal: the coefficient norm equals
+    the input norm (Parseval), and the transposed matrices invert it exactly.
     """
     x = as_image(x)
     h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise DimensionError(f"dwt2 needs even spatial dims, got {h}x{w}")
     y = _analysis_matrix(fam, h) @ x @ _analysis_matrix(fam, w).T
-    h2, w2 = h // 2, w // 2
-    # ll is copied out, so a caller that keeps only ll does not keep all of y
-    # alive
-    return WaveletCoeffs(ll=y[..., :h2, :w2].copy(), lh=y[..., :h2, w2:],
-                         hl=y[..., h2:, :w2], hh=y[..., h2:, w2:])
+    y = y.reshape(y.shape[:-2] + (2, h // 2, 2, w // 2))
+    return np.moveaxis(y, (-4, -2), (0, 1)).reshape((4,) + y.shape[:-4] + y.shape[-3::2])
 
 
 def shrink(z, lam, out=None):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctrx.layers import band_layout
-from ctrx.wavelets import WaveletCoeffs, dwt2
+from ctrx.wavelets import POLYPHASE, dwt2
 from oracles import conv2d_circular, idwt2
 
 # a depth-1, P=4 grayscale network: alpha, 3x1x2x2 raw thresholds, a 1x1x3x3 kernel
@@ -41,15 +41,14 @@ def crafted_weights(tmp_path):
 def spatial_transfer():
     """A layer transfer's map in space, for bands (4C, B, h, h) band-major:
     idwt2 by ``fam``, conv2d_circular, ``scale``, then dwt2 by ``target``,
-    or the polyphase split for a target of None."""
+    or strided slices for the polyphase split."""
     def apply(bands, kernel, scale, fam, target):
         c = kernel.shape[0]
         per_band = bands.reshape((4, c) + bands.shape[1:]).transpose(0, 2, 1, 3, 4)
-        v = conv2d_circular(idwt2(WaveletCoeffs(*per_band), fam), kernel) * scale
-        if target is None:
-            parts = [v[..., p::2, q::2] for p in (0, 1) for q in (0, 1)]
+        v = conv2d_circular(idwt2(per_band, fam), kernel) * scale
+        if target is POLYPHASE:
+            parts = np.stack([v[..., p::2, q::2] for p in (0, 1) for q in (0, 1)])
         else:
-            d = dwt2(v, target)
-            parts = [d.ll, d.lh, d.hl, d.hh]
-        return band_layout(np.stack(parts))
+            parts = dwt2(v, target)
+        return band_layout(parts)
     return apply

@@ -83,11 +83,13 @@ def dense_norm_oracle(k, grid_h, grid_w):
 
 
 def idwt2(c, fam):
-    """Inverse (= adjoint) of ``ctrx.wavelets.dwt2``."""
-    shapes = {c.ll.shape, c.lh.shape, c.hl.shape, c.hh.shape}
+    """Inverse (= adjoint) of ``ctrx.wavelets.dwt2``: ``c`` holds the bands
+    (ll, lh, hl, hh), as dwt2's one array or as four arrays."""
+    ll, lh, hl, hh = c
+    shapes = {ll.shape, lh.shape, hl.shape, hh.shape}
     if len(shapes) != 1:
         raise DimensionError(f"subband shapes disagree: {sorted(shapes)}")
-    y = np.block([[c.ll, c.lh], [c.hl, c.hh]])
+    y = np.block([[ll, lh], [hl, hh]])
     h, w = y.shape[-2:]
     return _analysis_matrix(fam, h).T @ y @ _analysis_matrix(fam, w)
 

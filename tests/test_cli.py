@@ -819,6 +819,29 @@ def test_certify_weights_with_an_infinite_eps_exits_3(crafted_weights, capsys):
     assert "eps must be finite and positive" in err
 
 
+@pytest.mark.parametrize("alpha", [-5.0, 1.0008, 1.5])
+@pytest.mark.parametrize("command", ["certify", "restore"])
+def test_weights_with_an_alpha_outside_the_certified_range_exit_3(
+        tmp_path, capsys, crafted_weights, command, alpha):
+    # the certificate's formulas assume 0 <= alpha <= 1: an alpha of 1.0008
+    # used to certify a negative bound, and one of -5 a negative composite
+    # bound under which restore ran as certified
+    wpath = str(crafted_weights(blocks=([alpha], np.zeros(12), np.full(9, 0.1))))
+    dst = tmp_path / "hr.raw"
+    args = ["certify", "--weights", wpath]
+    if command == "restore":
+        src = tmp_path / "lr.raw"
+        write_image(src, np.random.default_rng(7).random((1, 8, 8)))
+        args = ["restore", "--in", str(src), "--out", str(dst), "--task", "sr",
+                "--weights", wpath, "--iters", "2"]
+    code, out, err = run(args, capsys)
+    assert code == 3
+    assert out == ""
+    assert f"layer 0 alpha {alpha} is outside [0.001, 0.999]" in err
+    assert not {"certificate", "observation_bound", "composite_bound"} & set(kv(err))
+    assert not dst.exists()
+
+
 @pytest.fixture(scope="module")
 def saved_rgb_weights(tmp_path_factory):
     path = tmp_path_factory.mktemp("flip") / "w.ctrx"

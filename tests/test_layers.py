@@ -9,13 +9,13 @@ from scipy import fft
 
 import ctrx.layers
 from ctrx.errors import DimensionError, ValidationError
-from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, constrain_params,
-                         contraction_certificate, forward_steps, gain_denominator,
-                         init_network, network_forward, run_network, softplus,
-                         softplus_inverse)
+from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, band_layout,
+                         constrain_params, contraction_certificate, forward_steps,
+                         gain_denominator, init_network, network_forward,
+                         polyphase_image, run_network, softplus, softplus_inverse)
 from ctrx.tensorops import NORM_GUARD, conv_operator_norm
 from ctrx.trainer import backward, loss_mse
-from ctrx.wavelets import FAMILY_CYCLE, WaveletCoeffs, dwt2, get_family, shrink
+from ctrx.wavelets import FAMILY_CYCLE, POLYPHASE, dwt2, get_family, shrink
 from oracles import conv2d_circular, idwt2
 
 
@@ -111,15 +111,12 @@ def test_prox_layer_alpha_one_is_exact_prox():
         vals = [0.5 * (c - v) ** 2 + lam * abs(c) for c in cands]
         return cands[int(np.argmin(vals))]
 
-    bands = {"lh": thr[0], "hl": thr[1], "hh": thr[2]}
-    ref = {"ll": wy.ll.copy()}
-    for name, lam in bands.items():
-        src = getattr(wy, name)
-        dst = np.empty_like(src)
-        for idx in np.ndindex(src.shape):
-            dst[idx] = scalar_prox(src[idx], lam[idx])
-        ref[name] = dst
-    want = idwt2(type(wy)(**ref), p.family)
+    # the detail bands lh, hl, hh with their thresholds; ll passes through
+    ref = wy.copy()
+    for band, lam in zip(ref[1:], thr):
+        for idx in np.ndindex(band.shape):
+            band[idx] = scalar_prox(band[idx], lam[idx])
+    want = idwt2(ref, p.family)
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
@@ -487,9 +484,9 @@ def apply_transfer(bands, transfer):
     return fft.irfft2(ctrx.layers.mix(fft.rfft2(bands), transfer), s=(half, half))
 
 
-# every consecutive pair of the family cycle, and the spatial target
-TRANSFER_PAIRS = [(FAMILY_CYCLE[i], FAMILY_CYCLE[(i + 1) % 3]) for i in range(3)] + [
-    (name, None) for name in FAMILY_CYCLE]
+# every consecutive pair of the family cycle, and the polyphase split
+TRANSFER_PAIRS = [(get_family(FAMILY_CYCLE[i]), get_family(FAMILY_CYCLE[(i + 1) % 3]))
+                  for i in range(3)] + [(get_family(name), POLYPHASE) for name in FAMILY_CYCLE]
 
 
 @st.composite
@@ -507,8 +504,6 @@ def test_transfer_matches_the_spatial_chain(spatial_transfer, case):
     fam, target, c, size, patch, scale, seed = case
     rng = np.random.default_rng(seed)
     kernel = rng.standard_normal((c, c, size, size))
-    fam = get_family(fam)
-    target = target and get_family(target)
     layer = LayerParams(0.5, np.zeros((3, c, patch // 2, patch // 2)), kernel, fam)
     transfer = ctrx.layers._transfer(layer, scale, target, patch, patch)
     assert transfer.shape == (4 * c, 4 * c, patch // 2, patch // 4 + 1)
@@ -524,13 +519,25 @@ def test_transfer_matches_the_spatial_chain(spatial_transfer, case):
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(got) * np.linalg.norm(g)
 
 
+@pytest.mark.parametrize("batch, channels", [(1, 1), (1, 3), (3, 1), (3, 3)])
+@pytest.mark.parametrize("grid", [(4, 8), (8, 4), (2, 8)], ids=lambda g: f"{g[0]}x{g[1]}")
+def test_polyphase_image_inverts_the_polyphase_split(grid, batch, channels):
+    # integer pixels on half grids of 1, 2 or 4 samples keep the FFT round
+    # trip exact, so any difference is in the layout of the split
+    h, w = grid
+    x = np.random.default_rng(36).integers(-9, 10, (batch, channels, h, w)).astype(float)
+    spec = fft.rfft2(band_layout(dwt2(x, POLYPHASE)))
+    got = polyphase_image(spec, h // 2, w // 2)
+    assert got.shape == x.shape and got.tobytes() == x.tobytes()
+
+
 def reference_layer(x, y, layer, eps, s):
     """One layer in space: blend, dwt2, soft threshold of the detail bands,
     idwt2 and conv2d_circular, as the layers were first written."""
     c = dwt2((1 - layer.alpha) * x + layer.alpha * y, layer.family)
     thr = layer.thresholds()
-    u = idwt2(WaveletCoeffs(c.ll, shrink(c.lh, thr[0]), shrink(c.hl, thr[1]),
-                            shrink(c.hh, thr[2])), layer.family)
+    u = idwt2([c[0]] + [shrink(band, lam) for band, lam in zip(c[1:], thr)],
+              layer.family)
     return conv2d_circular(u, layer.kernel) / (
         (s + NORM_GUARD) * gain_denominator(layer.alpha, eps))
 

@@ -14,7 +14,7 @@ from ctrx.io import Rng, add_awgn
 from ctrx.layers import (contraction_certificate, forward_steps, init_network,
                          network_forward, run_network)
 from ctrx.metrics import psnr
-from ctrx.wavelets import get_family
+from ctrx.wavelets import POLYPHASE, get_family
 from ctrx.trainer import (EpochStats, GradCheckReport, TrainConfig,
                           _kernel_gradient, backward, curve_to_csv, grad_check,
                           load_patch_dataset, loss_mse, synth_patches, train)
@@ -65,14 +65,15 @@ def test_backward_matches_network_forward_loss():
 
 
 @pytest.mark.parametrize("patch, fam, target", [
-    (8, "haar", "db4"), (10, "db4", "sym4"), (6, "sym4", None), (16, "sym4", "haar")])
+    (8, "haar", "db4"), (10, "db4", "sym4"), (6, "sym4", "polyphase"), (16, "sym4", "haar")])
 def test_kernel_gradient_matches_the_spatial_chain(spatial_transfer, patch, fam, target):
     # <gout, scale * analysis(conv(synthesis(w), K))> is linear in K; its
     # gradient, batch summed, comes from the spectra alone, half grids of
     # odd size (patch 10 and 6) included
     rng = np.random.default_rng(patch)
     half = patch // 2
-    fam, target = get_family(fam), target and get_family(target)
+    fam = get_family(fam)
+    target = POLYPHASE if target == "polyphase" else get_family(target)
     bands = rng.standard_normal((8, 3, half, half))
     gout = rng.standard_normal((8, 3, half, half))
     shape = (2, 2, 3, 5)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrx.errors import DimensionError, ValidationError
-from ctrx.wavelets import FAMILIES, WaveletCoeffs, WaveletFamily, dwt2, get_family, shrink
+from ctrx.wavelets import (FAMILIES, POLYPHASE, WaveletFamily, band_aliases, dwt2,
+                           get_family, shrink)
 from oracles import idwt2
 
 ALL_FAMILIES = sorted(FAMILIES)
@@ -48,10 +49,10 @@ def test_dwt2_matches_its_definition(name, n):
     h, g = fam.lowpass, fam.highpass
     x = np.random.default_rng(n).standard_normal((2, n, 2 * n))
     coeffs = dwt2(x, fam)
-    for band, (row_filt, col_filt) in {"ll": (h, h), "lh": (h, g),
-                                       "hl": (g, h), "hh": (g, g)}.items():
+    for i, (band, (row_filt, col_filt)) in enumerate({"ll": (h, h), "lh": (h, g),
+                                                      "hl": (g, h), "hh": (g, g)}.items()):
         want = np.array([loop_dwt2(img, row_filt, col_filt) for img in x])
-        assert np.max(np.abs(getattr(coeffs, band) - want)) <= 1e-13, band
+        assert np.max(np.abs(coeffs[i] - want)) <= 1e-13, band
 
 
 def test_dwt2_follows_the_taps_not_the_name():
@@ -59,21 +60,39 @@ def test_dwt2_follows_the_taps_not_the_name():
     renamed = WaveletFamily("haar", db4.lowpass, db4.highpass)
     x = np.random.default_rng(3).standard_normal((1, 8, 8))
     dwt2(x, FAMILIES["haar"])  # the 8x8 haar matrix is cached first
-    np.testing.assert_array_equal(dwt2(x, renamed).hh, dwt2(x, db4).hh)
+    np.testing.assert_array_equal(dwt2(x, renamed)[3], dwt2(x, db4)[3])
+
+
+def test_polyphase_is_the_strided_split():
+    x = np.random.default_rng(11).standard_normal((2, 3, 6, 10))
+    want = np.stack([x[..., p::2, q::2] for p in (0, 1) for q in (0, 1)])
+    got = dwt2(x, POLYPHASE)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_band_aliases_are_cached_per_taps_and_grid():
+    db4 = FAMILIES["db4"]
+    table = band_aliases(db4, 8, 12)
+    assert band_aliases(db4, 8, 12) is table
+    assert not table.flags.writeable
+    renamed = WaveletFamily("haar", db4.lowpass.copy(), db4.highpass.copy())
+    band_aliases(FAMILIES["haar"], 8, 12)  # the haar table is cached too
+    assert band_aliases(renamed, 8, 12) is table
+    assert band_aliases(db4, 12, 8) is not table
 
 
 def test_haar_constant_image():
     c = 0.37
     x = np.full((1, 8, 8), c)
     coeffs = dwt2(x, get_family("haar"))
-    np.testing.assert_allclose(coeffs.ll, np.full((1, 4, 4), 2 * c), atol=1e-14)
-    for band in (coeffs.lh, coeffs.hl, coeffs.hh):
+    np.testing.assert_allclose(coeffs[0], np.full((1, 4, 4), 2 * c), atol=1e-14)
+    for band in coeffs[1:]:
         np.testing.assert_allclose(band, 0.0, atol=1e-14)
 
 
 def test_zero_image_zero_coeffs():
     coeffs = dwt2(np.zeros((2, 4, 4)), get_family("db4"))
-    for band in (coeffs.ll, coeffs.lh, coeffs.hl, coeffs.hh):
+    for band in coeffs:
         np.testing.assert_array_equal(band, 0.0)
 
 
@@ -94,7 +113,7 @@ def test_parseval(name):
     for _ in range(20):
         x = rng.standard_normal((1, 16, 16))
         coeffs = dwt2(x, fam)
-        norm_c = np.linalg.norm([coeffs.ll, coeffs.lh, coeffs.hl, coeffs.hh])
+        norm_c = np.linalg.norm(coeffs)
         assert abs(norm_c - np.linalg.norm(x)) <= 1e-10
 
 
@@ -103,29 +122,25 @@ def test_adjoint_identity(name):
     rng = np.random.default_rng(7)
     fam = FAMILIES[name]
     x = rng.standard_normal((1, 8, 8))
-    c = WaveletCoeffs(*[rng.standard_normal((1, 4, 4)) for _ in range(4)])
+    c = rng.standard_normal((4, 1, 4, 4))
     wx = dwt2(x, fam)
-    lhs = (np.sum(wx.ll * c.ll) + np.sum(wx.lh * c.lh)
-           + np.sum(wx.hl * c.hl) + np.sum(wx.hh * c.hh))
+    lhs = (np.sum(wx[0] * c[0]) + np.sum(wx[1] * c[1])
+           + np.sum(wx[2] * c[2]) + np.sum(wx[3] * c[3]))
     rhs = np.sum(x * idwt2(c, fam))
     assert abs(lhs - rhs) <= 1e-10
 
 
 def test_haar_inverse_of_constant():
     c = -1.25
-    coeffs = WaveletCoeffs(
-        ll=np.full((1, 4, 4), 2 * c),
-        lh=np.zeros((1, 4, 4)),
-        hl=np.zeros((1, 4, 4)),
-        hh=np.zeros((1, 4, 4)),
-    )
+    coeffs = (np.full((1, 4, 4), 2 * c), np.zeros((1, 4, 4)),
+              np.zeros((1, 4, 4)), np.zeros((1, 4, 4)))
     rec = idwt2(coeffs, get_family("haar"))
     np.testing.assert_allclose(rec, np.full((1, 8, 8), c), atol=1e-14)
 
 
 def test_idwt2_zero_coeffs():
     z = np.zeros((1, 4, 4))
-    rec = idwt2(WaveletCoeffs(z, z, z, z), get_family("sym4"))
+    rec = idwt2((z, z, z, z), get_family("sym4"))
     np.testing.assert_array_equal(rec, np.zeros((1, 8, 8)))
 
 
@@ -136,7 +151,7 @@ def test_dwt2_rejects_odd_dims():
 
 def test_idwt2_rejects_mismatched_subbands():
     z = np.zeros((1, 4, 4))
-    bad = WaveletCoeffs(z, z, z, np.zeros((1, 2, 2)))
+    bad = (z, z, z, np.zeros((1, 2, 2)))
     with pytest.raises(DimensionError):
         idwt2(bad, get_family("haar"))
 
@@ -188,8 +203,8 @@ def test_batched_transform_matches_loop():
     coeffs = dwt2(batch, fam)
     for i in range(4):
         single = dwt2(batch[i], fam)
-        np.testing.assert_array_equal(coeffs.ll[i], single.ll)
-        np.testing.assert_array_equal(coeffs.hh[i], single.hh)
+        np.testing.assert_array_equal(coeffs[0, i], single[0])
+        np.testing.assert_array_equal(coeffs[3, i], single[3])
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -202,9 +217,7 @@ def test_property_dwt_adjoint_identity(name, c, half_h, half_w, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((c, 2 * half_h, 2 * half_w))
     bands = rng.standard_normal((4, c, half_h, half_w))
-    coeffs = WaveletCoeffs(*bands)
     wx = dwt2(x, fam)
-    lhs = sum(np.sum(getattr(wx, b) * getattr(coeffs, b))
-              for b in ("ll", "lh", "hl", "hh"))
-    rhs = np.sum(x * idwt2(coeffs, fam))
+    lhs = sum(np.sum(wx[b] * bands[b]) for b in range(4))
+    rhs = np.sum(x * idwt2(bands, fam))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(bands)
