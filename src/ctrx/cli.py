@@ -20,8 +20,8 @@ from .errors import (CertificateError, CorruptWeightsError, DivergenceError,
 from .inference import DEFAULT_TAPER, patch_denoise, plan_patches
 from .layers import contraction_certificate, init_network
 from .metrics import metric_report, psnr
-from .pnp import (ForwardModel, composite_contraction_bound, drs_contraction_bound,
-                  parse_blur_spec, pnp_drs, pnp_fbs, trace_to_csv)
+from .pnp import (ForwardModel, composite_contraction_bound, parse_blur_spec,
+                  pnp_fbs, trace_to_csv)
 from .trainer import (TrainConfig, curve_to_csv, load_patch_dataset,
                       synth_patches, train)
 
@@ -105,25 +105,25 @@ def _forward_model(args):
 
 
 def _run_solver(args):
+    if not args.alpha_step > 0:
+        raise ValidationError(f"alpha_step must be finite and positive, "
+                              f"got {args.alpha_step}")
     y = cio.read_image(args.infile)
     model = _forward_model(args)
     full_h, full_w = y.shape[1] * model.stride, y.shape[2] * model.stride
     fn, lip = _denoiser_for(args, (y.shape[0], full_h, full_w))
-    solve, bound_of, step = ((pnp_fbs, composite_contraction_bound, args.alpha_step)
-                             if args.algo == "fbs" else
-                             (pnp_drs, drs_contraction_bound, args.step))
-    bound = bound_of(model, step, lip, full_h, full_w)
+    bound = composite_contraction_bound(model, args.alpha_step, lip, full_h, full_w)
     _emit("composite_bound", bound)
     if not bound < 1 and not args.allow_expansive:
         print("composite bound >= 1: convergence is not certified "
               "(pass --allow-expansive to run anyway)", file=sys.stderr)
         return None, EXIT_EXPANSIVE
     ref = cio.read_image(args.ref) if args.ref else None
-    trace = solve(y, model, fn, step, max_iters=args.iters, tol=args.tol, ref=ref)
+    trace = pnp_fbs(y, model, fn, args.alpha_step, max_iters=args.iters,
+                    tol=args.tol, ref=ref)
     _emit("iterations", trace.iterations)
     _emit("converged", int(trace.converged))
-    if trace.residuals:
-        _emit("final_residual", trace.residuals[-1])
+    _emit("final_residual", trace.residuals[-1])
     return trace, 0
 
 
@@ -272,11 +272,11 @@ def _add_solver_flags(p):
     p.add_argument("--stride-sr", type=int, default=2,
                    help="decimation factor for --task sr")
     p.add_argument("--alpha-step", type=float, default=1.0,
-                   help="gradient step size for PnP-FBS (default 1.0; DRS "
-                        "does not read it)")
-    p.add_argument("--algo", choices=("fbs", "drs"), default="fbs")
-    p.add_argument("--step", type=float, default=1.0,
-                   help="DRS prox weight is 1/step")
+                   help="gradient step size for PnP-FBS (finite, > 0; "
+                        "default 1.0)")
+    p.add_argument("--algo", choices=("fbs",), default="fbs",
+                   help="PnP-FBS, the only solver; kept because existing "
+                        "scripts pass --algo fbs")
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--ref", help="clean reference for per-iteration PSNR")

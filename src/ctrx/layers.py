@@ -404,11 +404,15 @@ def contraction_certificate(net):
 
     Each layer divides by its kernel's norm on the P x P grid, and a circular
     conv's norm depends on the grid, so that is the one grid certified.
+    The bounds hold only for alpha in [0, 1]; any other alpha is a
+    ValidationError (``constrain_params`` projects it into range).
     """
     per_layer = []
     total = 1.0
     obs = 1.0
     for i, (layer, s) in enumerate(zip(net.layers, net.conv_norms())):
+        if not 0.0 <= layer.alpha <= 1.0:
+            raise ValidationError(f"layer {i} alpha {layer.alpha} is outside [0, 1]")
         denom = gain_denominator(layer.alpha, net.eps)
         conv_factor = min(1.0, s / (s + NORM_GUARD))
         bound = ((1.0 - layer.alpha) / denom) * conv_factor

@@ -1,4 +1,4 @@
-"""Forward models and plug-and-play solvers for deblurring and superresolution.
+"""Forward models and plug-and-play forward-backward splitting (PnP-FBS).
 
 The degradation is ``y = S B x + eta`` with ``B`` a known circular blur
 applied per channel and ``S`` decimation by an integer stride (stride 1 means
@@ -11,20 +11,15 @@ iteration is a contraction, so the residuals decay geometrically to a unique
 fixed point.
 :func:`composite_contraction_bound` evaluates that product exactly, in closed
 form over the frequencies of the decimated grid, from the blur's spectrum on
-the full grid. For stride > 1 the norm is
-never below 1 (decimation leaves ``A^T A`` a null space), so a certified
-superresolution solve needs ``L_D < 1``. PnP-DRS swaps the denoiser into
-Douglas-Rachford splitting, with the quadratic prox solved exactly in closed
-form for every stride: by Woodbury, its inner system lives on the decimated
-grid, where ``A A^T`` is diagonal in the Fourier basis. Its certificate,
-:func:`drs_contraction_bound`, comes from the same eigenvalues.
+the full grid. For stride > 1 the norm is never below 1 (decimation leaves
+``A^T A`` a null space), so a certified superresolution solve needs
+``L_D < 1``.
 
-Both solvers run the same loop on a state (FBS: ``x``; DRS: ``z``). Each
-iteration records the residual ``||new - state||`` and the data fit and PSNR
-of the iterate it shows, and the loop stops once the residual is at most
-``tol * ||state||`` (``tol`` finite and >= 0) or after ``max_iters`` (at
-least 1) iterations. A non-finite new state or residual raises
-DivergenceError, its trace's ``final`` taken from the last finite state.
+Each iteration records the residual ``||x_new - x||`` and the data fit and
+PSNR of ``x_new``, and the loop stops once the residual is at most
+``tol * ||x||`` (``tol`` finite and >= 0) or after ``max_iters`` (at least
+1) iterations. A non-finite iterate or residual raises DivergenceError, its
+trace's ``final`` the last finite iterate.
 """
 
 from dataclasses import dataclass, field
@@ -148,38 +143,6 @@ def trace_to_csv(trace, path):
             f.write(f"{i},{r!r},{d!r},{p!r}\n")
 
 
-def _iterate(state, update, output, y, model, max_iters, tol, ref, name):
-    """Run ``state <- update(state)[0]`` as the module docstring describes.
-
-    ``update`` returns (new state, shown iterate); ``output`` maps a state to
-    the image it stands for, which becomes the trace's ``final``.
-    """
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
-    trace = PnPTrace()
-    for _ in range(max_iters):
-        new, shown = update(state)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = float(np.linalg.norm(new - state))
-        if not np.all(np.isfinite(new)) or not np.isfinite(res):
-            trace.final = output(state)
-            raise DivergenceError(
-                f"non-finite iterate in {name} (expansive composition?)", trace)
-        trace.residuals.append(res)
-        trace.datafits.append(datafit(shown, y, model))
-        trace.psnrs.append(float("nan") if ref is None else psnr(shown, ref))
-        norm = float(np.linalg.norm(state))
-        state = new
-        if res <= tol * norm:
-            trace.converged = True
-            break
-    trace.final = output(state)
-    trace.converged = trace.converged and bool(np.all(np.isfinite(trace.final)))
-    return trace
-
-
 def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
             tol=DEFAULT_TOL, ref=None, x0=None):
     """Plug-and-play forward-backward splitting: ``x <- D(x - alpha grad f(x))``.
@@ -198,79 +161,33 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
     """
     if not (np.isfinite(alpha_step) and alpha_step > 0):
         raise ValidationError(f"alpha_step must be finite and positive, got {alpha_step}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     y = as_image(y)
     full_h = y.shape[-2] * model.stride
     full_w = y.shape[-1] * model.stride
     x = apply_adjoint(y, model, full_h, full_w) if x0 is None else as_image(x0).copy()
-
-    def update(x):
+    trace = PnPTrace()
+    for _ in range(max_iters):
         x_new = denoiser(x - alpha_step * grad_datafit(x, y, model))
-        return x_new, x_new
-    return _iterate(x, update, lambda x: x, y, model, max_iters, tol, ref, "PnP-FBS")
-
-
-def _alias_spectrum(model, grid_h, grid_w):
-    """Eigenvalues ``mu(k)`` of ``A A^T`` on the decimated (H/s, W/s) grid."""
-    s = model.stride
-    if grid_h % s or grid_w % s:
-        raise DimensionError(
-            f"grid {grid_h}x{grid_w} not divisible by stride {s}")
-    bf = kernel_spectrum(model.blur, grid_h, grid_w, np.arange(grid_w))
-    # the aliases of decimated frequency k are k + (m H/s, n W/s), 0 <= m, n < s
-    aliases = (np.abs(bf) ** 2).reshape(s, grid_h // s, s, grid_w // s)
-    return aliases.sum(axis=(0, 2)) / s ** 2
-
-
-def _ata_spectrum(model, grid_h, grid_w):
-    """The eigenvalues of ``A^T A`` up to multiplicity: ``mu(k)``, and 0 if s > 1."""
-    mu = _alias_spectrum(model, grid_h, grid_w).ravel()
-    return np.append(mu, 0.0) if model.stride > 1 else mu
-
-
-def _datafit_prox(aty, model, weight):
-    """From ``aty = A^T y``, ``z -> x`` solving ``(I + weight A^T A) x = z + weight aty``.
-
-    Woodbury: ``(I + w A^T A)^-1 r = r - w A^T (I + w A A^T)^-1 A r``, and
-    ``A A^T`` is diagonal in the Fourier basis of the decimated grid (Zhao et
-    al., IEEE TIP 2016): the inner solve is one division on the half-spectrum.
-    """
-    h, w = aty.shape[-2:]
-    mu = _alias_spectrum(model, h, w)
-    shift = weight * aty
-    denom = 1.0 + weight * mu[:, :mu.shape[1] // 2 + 1]
-
-    def prox(z):
-        r = z + shift
-        t = fft.irfft2(fft.rfft2(apply_forward(r, model), axes=(-2, -1)) / denom,
-                       s=mu.shape, axes=(-2, -1))
-        return r - weight * apply_adjoint(t, model, h, w)
-    return prox
-
-
-def _drs_weight(step):
-    """``1 / step``, the DRS prox's data-fit weight; both must be finite and > 0."""
-    if not (step > 0 and np.isfinite(step) and np.isfinite(1.0 / float(step))):
-        raise ValidationError(f"step and 1/step must be finite and positive, got {step}")
-    return 1.0 / step
-
-
-def pnp_drs(y, model, denoiser, step, max_iters=DEFAULT_MAX_ITERS,
-            tol=DEFAULT_TOL, ref=None):
-    """Plug-and-play Douglas-Rachford splitting.
-
-    One iteration: ``x = prox(z)``, ``z <- z + D(2x - z) - x``, where prox
-    solves ``(I + (1/step) A^T A) x = z + (1/step) A^T y`` exactly, in closed
-    form for every stride; ``step`` and ``1/step`` must be finite and > 0. The trace shows ``x``; ``final`` is ``prox(z)``.
-    """
-    weight = _drs_weight(step)
-    y = as_image(y)
-    z = apply_adjoint(y, model, y.shape[-2] * model.stride, y.shape[-1] * model.stride)
-    prox = _datafit_prox(z, model, weight)
-
-    def update(z):
-        x = prox(z)
-        return z + denoiser(2.0 * x - z) - x, x
-    return _iterate(z, update, prox, y, model, max_iters, tol, ref, "PnP-DRS")
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.linalg.norm(x_new - x))
+        if not np.all(np.isfinite(x_new)) or not np.isfinite(res):
+            trace.final = x
+            raise DivergenceError(
+                "non-finite iterate in PnP-FBS (expansive composition?)", trace)
+        trace.residuals.append(res)
+        trace.datafits.append(datafit(x_new, y, model))
+        trace.psnrs.append(float("nan") if ref is None else psnr(x_new, ref))
+        norm = float(np.linalg.norm(x))
+        x = x_new
+        if res <= tol * norm:
+            trace.converged = True
+            break
+    trace.final = x
+    return trace
 
 
 def composite_contraction_bound(model, alpha_step, lip_denoiser, grid_h, grid_w):
@@ -285,21 +202,16 @@ def composite_contraction_bound(model, alpha_step, lip_denoiser, grid_h, grid_w)
     """
     if not (np.isfinite(alpha_step) and alpha_step >= 0):
         raise ValidationError(f"alpha_step must be finite and >= 0, got {alpha_step}")
-    lam = _ata_spectrum(model, grid_h, grid_w)
-    return lip_denoiser * float(np.max(np.abs(1.0 - alpha_step * lam)))
-
-
-def drs_contraction_bound(model, step, lip_denoiser, grid_h, grid_w):
-    """``||I - M|| + L_D ||2M - I||``, ``M = (I + w A^T A)^-1``, ``w = 1/step``.
-
-    Bounds the Lipschitz constant of the DRS map ``T(z) = z - P(z) + D(2 P(z)
-    - z)``, whose prox ``P`` has linear part ``M``; < 1 certifies PnP-DRS.
-    Over the eigenvalues ``lam`` of ``A^T A`` the two norms are
-    ``max w lam / (1 + w lam)`` and ``max |1 - w lam| / (1 + w lam)``.
-    """
-    wlam = _drs_weight(step) * _ata_spectrum(model, grid_h, grid_w)
-    return float(np.max(wlam / (1.0 + wlam))
-                 + lip_denoiser * np.max(np.abs(1.0 - wlam) / (1.0 + wlam)))
+    s = model.stride
+    if grid_h % s or grid_w % s:
+        raise DimensionError(
+            f"grid {grid_h}x{grid_w} not divisible by stride {s}")
+    bf = kernel_spectrum(model.blur, grid_h, grid_w, np.arange(grid_w))
+    # the aliases of decimated frequency k are k + (m H/s, n W/s), 0 <= m, n < s
+    aliases = (np.abs(bf) ** 2).reshape(s, grid_h // s, s, grid_w // s)
+    mu = aliases.sum(axis=(0, 2)) / s ** 2
+    gain = float(np.max(np.abs(1.0 - alpha_step * mu)))
+    return lip_denoiser * (max(gain, 1.0) if s > 1 else gain)
 
 
 # ---------------------------------------------------------------------------

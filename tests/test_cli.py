@@ -234,13 +234,14 @@ def test_restore_expansive_bound_blocks_without_flag(tmp_path, capsys, toy_weigh
 @pytest.mark.parametrize("flags, message", [
     (["--blur", "box:3", "--alpha-step", "inf"],
      "alpha_step must be finite and >= 0, got inf"),
-    (["--algo", "drs", "--step", "1e-310"],
-     "step and 1/step must be finite and positive, got 1e-310"),
-], ids=["fbs_alpha_step_inf", "drs_step_1e-310"])
+    (["--blur", "box:3", "--alpha-step", "0"],
+     "alpha_step must be finite and positive, got 0.0"),
+], ids=["fbs_alpha_step_inf", "fbs_alpha_step_0"])
 def test_restore_rejects_a_step_with_no_finite_bound(tmp_path, capsys, toy_weights,
                                                      flags, message):
-    # each used to print composite_bound=nan with a RuntimeWarning, pass the
-    # gate (nan >= 1 is False) and fail in the solve on non-finite values
+    # inf used to print composite_bound=nan with a RuntimeWarning, pass the
+    # gate (nan >= 1 is False) and fail in the solve on non-finite values;
+    # 0 used to print a bound and exit 6, though no step of 0 can solve
     src = tmp_path / "lr.raw"
     write_image(src, np.random.default_rng(6).random((1, 16, 16)))
     code, _, err = run(["restore", "--in", str(src), "--out",
@@ -350,50 +351,20 @@ def test_restore_divergence_exits_5_without_a_warning(tmp_path, capsys):
     assert "divergence:" in err
 
 
-def test_restore_sr_drs_with_a_tiny_step_exits_zero(tmp_path, capsys):
-    # step 1e-8 puts weight 1e8 on the data fit: an ill-conditioned system
-    # for an iterative solve, which the closed-form prox solves exactly, so
-    # the iterates end up consistent with the observation
-    y = np.random.default_rng(7).random((1, 128, 128))
-    src = tmp_path / "lr.raw"
-    dst = tmp_path / "hr.raw"
-    write_image(src, y)
-    code, _, err = run(["restore", "--in", str(src), "--out", str(dst),
-                        "--task", "sr", "--blur", "gauss:9:2.0", "--algo",
-                        "drs", "--step", "1e-8", "--alpha-step", "1.0",
-                        "--identity", "--allow-expansive"], capsys)
-    assert code == 0
-    assert kv(err)["converged"] == "1"
-    x = read_image(dst)
-    assert x.shape == (1, 256, 256)
-    model = ForwardModel(gaussian_blur(9, 2.0), stride=2)
-    assert np.max(np.abs(apply_forward(x, model) - y)) <= 1e-6
-
-
-def test_drs_composite_bound_follows_step_not_alpha_step(tmp_path, capsys):
-    src = tmp_path / "y.raw"
-    write_image(src, np.random.default_rng(5).random((1, 16, 16)))
-
-    def bound(step, alpha):
-        code, _, err = run(["trace", "--in", str(src), "--trace",
-                            str(tmp_path / f"t{step}_{alpha}.csv"), "--task",
-                            "deblur", "--blur", "gauss:3:1.0", "--algo", "drs",
-                            "--step", step, "--alpha-step", alpha, "--iters",
-                            "1", "--identity", "--allow-expansive"], capsys)
-        assert code == 0
-        return kv(err)["composite_bound"]
-    assert bound("1.0", "1.0") == bound("1.0", "0.1")
-    assert bound("1.0", "1.0") != bound("0.1", "1.0")
-
-
-def test_restore_drs_needs_no_alpha_step(tmp_path, capsys):
+@pytest.mark.parametrize("flags, message", [
+    (["--algo", "drs"], "invalid choice: 'drs'"),
+    (["--step", "1.0"], "unrecognized arguments: --step"),
+], ids=["algo_drs", "step"])
+def test_restore_has_no_drs_solver_and_no_step_flag(tmp_path, capsys, flags, message):
+    # PnP-FBS is the only solver: --algo takes only fbs, and --step is gone
     src = tmp_path / "y.raw"
     write_image(src, np.random.default_rng(9).random((1, 16, 16)))
-    code, _, err = run(["restore", "--in", str(src), "--out",
-                        str(tmp_path / "x.raw"), "--task", "deblur", "--algo",
-                        "drs", "--step", "1.0", "--identity"], capsys)
-    assert code == 0
-    assert (tmp_path / "x.raw").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["restore", "--in", str(src), "--out", str(tmp_path / "x.raw"),
+              "--task", "deblur", "--identity", *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.raw").exists()
 
 
 def test_fbs_alpha_step_defaults_to_one(tmp_path, capsys):

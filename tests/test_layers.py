@@ -390,6 +390,31 @@ def test_certificate_observation_bound_recursion():
     assert cert.observation_bound == pytest.approx(obs, rel=1e-12)
 
 
+def _with_alpha(net, alpha):
+    layers = [LayerParams(alpha, layer.raw_thresholds, layer.kernel, layer.family)
+              for layer in net.layers]
+    return NetworkParams(layers, eps=net.eps, patch=net.patch, channels=net.channels)
+
+
+@pytest.mark.parametrize("alpha", [1.0008, 1.5, -5.0])
+def test_certificate_rejects_an_alpha_outside_the_unit_interval(alpha):
+    # alpha 1.0008 used to certify with total_bound = -64 and no error
+    net = _with_alpha(init_network(depth=3, patch=8, seed=0), alpha)
+    with pytest.raises(ValidationError, match=r"layer 0 alpha .* is outside \[0, 1\]"):
+        contraction_certificate(net)
+    cert = contraction_certificate(constrain_params(net))
+    assert 0.0 <= cert.total_bound < 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_certificate_accepts_the_ends_of_the_unit_interval(alpha):
+    cert = contraction_certificate(_with_alpha(init_network(depth=3, patch=8, seed=0),
+                                               alpha))
+    assert 0.0 <= cert.total_bound < 1.0
+    for lb in cert.per_layer:
+        assert 0.0 <= lb.layer_bound < 1.0
+
+
 def test_constrain_params_clips_alpha():
     base = make_layer(alpha=0.5, patch=8)
     high = LayerParams(1.7, base.raw_thresholds, base.kernel, base.family)

@@ -8,13 +8,11 @@ from ctrx.errors import DimensionError, DivergenceError, ValidationError
 from ctrx.io import Rng, add_awgn
 from ctrx.layers import contraction_certificate, init_network, network_forward
 from ctrx.metrics import psnr
-from ctrx.pnp import (ForwardModel, _datafit_prox, anisotropic_gaussian_blur,
-                      apply_adjoint, apply_forward, box_blur,
-                      composite_contraction_bound, datafit, delta_blur,
-                      disk_blur, drs_contraction_bound, gaussian_blur,
-                      grad_datafit, motion_blur,
-                      parse_blur_spec, pnp_drs, pnp_fbs, simulate,
-                      sparse_random_blur, trace_to_csv)
+from ctrx.pnp import (ForwardModel, anisotropic_gaussian_blur, apply_adjoint,
+                      apply_forward, box_blur, composite_contraction_bound,
+                      datafit, delta_blur, disk_blur, gaussian_blur,
+                      grad_datafit, motion_blur, parse_blur_spec, pnp_fbs,
+                      simulate, sparse_random_blur, trace_to_csv)
 from ctrx.tensorops import kernel_spectrum
 
 
@@ -282,7 +280,7 @@ def test_fbs_divergence_with_expansive_denoiser():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("solver", [pnp_fbs, pnp_drs])
+@pytest.mark.parametrize("solver", [pnp_fbs])
 def test_divergence_raises_without_a_runtime_warning(solver):
     # iterates that overflow end in DivergenceError; the residual of the
     # overflowing step must not emit a numpy overflow warning first
@@ -294,23 +292,21 @@ def test_divergence_raises_without_a_runtime_warning(solver):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_drs_divergence_keeps_the_prox_of_the_last_finite_state():
+def test_fbs_divergence_keeps_the_last_finite_iterate():
     y = np.random.default_rng(8).random((1, 16, 16))
     m = ForwardModel(gaussian_blur(3, 1.0), stride=1)
     expansive = lambda v: 1e150 * v
     with pytest.raises(DivergenceError) as err:
-        pnp_drs(y, m, expansive, 1.0, max_iters=50)
+        pnp_fbs(y, m, expansive, 1.0, max_iters=50)
     trace = err.value.trace
     assert trace.iterations >= 1
     assert not trace.converged
     assert np.all(np.isfinite(trace.final))
-    # replay the recorded iterations: final is prox(z) of the last finite z
-    z = apply_adjoint(y, m, 16, 16)
-    prox = _datafit_prox(z, m, 1.0)  # z starts at A^T y
+    # replay the recorded iterations: final is the last finite iterate
+    x = apply_adjoint(y, m, 16, 16)
     for _ in range(trace.iterations):
-        x = prox(z)
-        z = z + expansive(2.0 * x - z) - x
-    np.testing.assert_array_equal(trace.final, prox(z))
+        x = expansive(x - grad_datafit(x, y, m))
+    np.testing.assert_array_equal(trace.final, x)
 
 
 def test_fbs_fixed_point_residual_at_termination():
@@ -327,76 +323,17 @@ def test_fbs_fixed_point_residual_at_termination():
     assert np.linalg.norm(step - x) <= 2 * tol * np.linalg.norm(x)
 
 
-def test_drs_identity_denoiser_converges_to_y():
-    rng = np.random.default_rng(12)
-    y = rng.random((1, 16, 16))
-    m = ForwardModel(delta_blur(), stride=1)
-    trace = pnp_drs(y, m, lambda z: z, step=1.0, max_iters=200, tol=1e-10)
-    assert trace.converged
-    np.testing.assert_allclose(trace.final, y, atol=1e-7)
-
-
-def test_drs_close_to_fbs_on_deblurring_toy():
+def test_fbs_traces_the_psnr_of_each_iterate_against_ref():
     rng = np.random.default_rng(13)
     x_true = rng.random((1, 64, 64))
     m = ForwardModel(gaussian_blur(9, 2.0), stride=1)
     y = add_awgn(apply_forward(x_true, m), 0.01, Rng(3))
     den, _ = _toy_denoiser(seed=3)
-    alpha = 1.0
-    fbs = pnp_fbs(y, m, den, alpha, max_iters=500, tol=1e-8, ref=x_true)
-    drs = pnp_drs(y, m, den, step=1.0 / alpha, max_iters=500, tol=1e-8, ref=x_true)
-    assert fbs.converged and drs.converged
-    assert abs(psnr(fbs.final, x_true) - psnr(drs.final, x_true)) <= 0.5
-
-
-def test_drs_residuals_monotone_after_burn_in():
-    rng = np.random.default_rng(14)
-    x_true = rng.random((1, 64, 64))
-    m = ForwardModel(gaussian_blur(9, 2.0), stride=1)
-    y = apply_forward(x_true, m)
-    den, lip = _toy_denoiser(seed=4)
-    # small 1/step keeps the DRS map contractive: c/(1+c) + L_D < 1
-    step = 20.0
-    assert (1 / step) / (1 + 1 / step) + lip < 1
-    trace = pnp_drs(y, m, den, step=step, max_iters=300, tol=1e-9)
-    res = trace.residuals
-    for k in range(10, len(res) - 1):
-        assert res[k + 1] <= res[k] * 1.001
-
-
-@pytest.mark.parametrize("stride, h, w", [
-    pytest.param(1, 9, 8, id="9-8"),
-    pytest.param(1, 8, 9, id="8-9"),
-    pytest.param(1, 7, 11, id="7-11"),
-    pytest.param(2, 10, 14, id="stride2-10-14"),
-    pytest.param(2, 14, 6, id="stride2-14-6"),
-    pytest.param(3, 9, 15, id="stride3-9-15"),
-    pytest.param(3, 15, 12, id="stride3-15-12"),
-])
-def test_prox_datafit_fft_solves_its_system_on_odd_grids(stride, h, w):
-    # (I + weight A^T A) x = z + weight A^T y, with an asymmetric blur so a
-    # wrong half of the spectrum cannot pass by symmetry, on full and
-    # decimated grids with odd sides
-    rng = np.random.default_rng(h * 16 + w)
-    z = rng.random((2, h, w))
-    y = rng.random((2, h // stride, w // stride))
-    m = ForwardModel(sparse_random_blur(5, 0.3, seed=1), stride=stride)
-    weight = 0.7
-    x = _datafit_prox(apply_adjoint(y, m, h, w), m, weight)(z)
-    lhs = x + weight * apply_adjoint(apply_forward(x, m), m, h, w)
-    rhs = z + weight * apply_adjoint(y, m, h, w)
-    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
-
-
-def test_drs_converges_at_stride2():
-    rng = np.random.default_rng(15)
-    x_true = rng.random((1, 32, 32))
-    m = ForwardModel(gaussian_blur(5, 1.2), stride=2)
-    y = apply_forward(x_true, m)
-    den, _ = _toy_denoiser(seed=5, patch=32)
-    trace = pnp_drs(y, m, den, step=2.0, max_iters=300, tol=1e-7)
+    trace = pnp_fbs(y, m, den, 1.0, max_iters=500, tol=1e-8, ref=x_true)
     assert trace.converged
-    assert trace.final.shape == (1, 32, 32)
+    assert len(trace.psnrs) == trace.iterations
+    assert trace.psnrs[-1] == psnr(trace.final, x_true)
+    assert trace.datafits[-1] == datafit(trace.final, y, m)
 
 
 def test_composite_bound_identity_cases():
@@ -502,46 +439,10 @@ def test_parse_blur_spec():
         parse_blur_spec("swirl:3")
 
 
-@pytest.mark.parametrize("stride,h,w", [(1, 6, 5), (2, 6, 8), (3, 9, 6)])
-@pytest.mark.parametrize("step", [10.0, 1.0, 0.1])
-def test_drs_bound_dominates_the_dense_jacobian(stride, h, w, step):
-    # T(z) = z - P(z) + D(2 P(z) - z) with D = c Q, Q orthogonal: its
-    # Jacobian is I - M + c Q (2M - I), M the prox's linear part
-    m = ForwardModel(sparse_random_blur(3, 0.2, seed=stride), stride=stride)
-    n = h * w
-    basis = np.eye(n).reshape(n, 1, h, w)
-    y0 = np.zeros((1, h // stride, w // stride))
-    m_mat = _datafit_prox(apply_adjoint(y0, m, h, w), m, 1.0 / step)(basis)
-    m_mat = m_mat.reshape(n, n).T
-    rng = np.random.default_rng(n + stride)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    for c in (0.5, 0.9, 1.0):
-        jac = np.eye(n) - m_mat + c * q @ (2.0 * m_mat - np.eye(n))
-        got = drs_contraction_bound(m, step, c, h, w)
-        assert got >= np.linalg.norm(jac, 2) - 1e-12
-        if stride > 1:
-            assert got >= c
-
-
 @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
 def test_bounds_reject_nan_and_negative_steps(value):
     m = ForwardModel(gaussian_blur(3, 1.0), stride=1)
     with pytest.raises(ValidationError):
         composite_contraction_bound(m, value, 0.9, 8, 8)
     with pytest.raises(ValidationError):
-        drs_contraction_bound(m, value, 0.9, 8, 8)
-    for solver in (pnp_fbs, pnp_drs):
-        with pytest.raises(ValidationError):
-            solver(np.zeros((1, 8, 8)), m, lambda z: z, value)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_drs_rejects_a_step_whose_reciprocal_overflows():
-    # 1/1e-310 is inf: the bound used to come out nan, with a RuntimeWarning
-    m = ForwardModel(gaussian_blur(3, 1.0), stride=2)
-    y = np.zeros((1, 4, 4))
-    for step in (1e-310, np.float64(1e-310)):
-        with pytest.raises(ValidationError, match="1/step must be finite"):
-            drs_contraction_bound(m, step, 0.9, 8, 8)
-        with pytest.raises(ValidationError, match="1/step must be finite"):
-            pnp_drs(y, m, lambda z: z, step)
+        pnp_fbs(np.zeros((1, 8, 8)), m, lambda z: z, value)
