@@ -217,6 +217,15 @@ def cmd_metrics(args):
     return 0
 
 
+def _training_image(args, name):
+    """The image ``name`` of ``--data``, with ``--channels`` channels."""
+    img = cio.read_image(os.path.join(args.data, name))
+    if img.shape[0] != args.channels:
+        raise ValidationError(f"{name} has {img.shape[0]} channels, "
+                              f"--channels says {args.channels}")
+    return img
+
+
 def cmd_train(args):
     seed = _seed(args)
     # the network first: it names a bad patch size before the data does
@@ -224,15 +233,16 @@ def cmd_train(args):
                        channels=args.channels, kernel_size=args.kernel_size,
                        eps=args.eps, seed=seed)
     if args.data:
+        if args.max_patches < 1:
+            raise ValidationError(
+                f"--max-patches must be at least 1, got {args.max_patches}")
         names = [n for n in sorted(os.listdir(args.data))
                  if n.endswith((".pgm", ".ppm", ".raw"))]
         if not names:
             raise ValidationError(f"no PNM or raw images found in {args.data}")
-        images = [cio.read_image(os.path.join(args.data, n)) for n in names]
-        for name, img in zip(names, images):
-            if img.shape[0] != args.channels:
-                raise ValidationError(f"{name} has {img.shape[0]} channels, "
-                                      f"--channels says {args.channels}")
+        # decoded one at a time: the dataset copies each image's crops out
+        # before it draws the next, and stops drawing at --max-patches
+        images = (_training_image(args, name) for name in names)
         dataset = load_patch_dataset(images, args.patch, stride=4,
                                      limit=args.max_patches)
     else:

@@ -1,10 +1,19 @@
 """Full-resolution denoising by windowed overlap-add of fixed-size patches.
 
-The image is padded circularly so a grid of P x P patches with stride s
-covers it, the denoiser runs once on the batch of all patches, and outputs
-are blended under a 2D Tukey window. The blend divides by the plan's
-accumulated window map (an exact partition of unity), so an identity
-denoiser reproduces the input for any taper and stride the plan accepts.
+A grid of P x P patches with stride s covers the image extended
+circularly, and the outputs are blended under a 2D Tukey window. The blend
+divides by the plan's accumulated window map (an exact partition of
+unity), so an identity denoiser reproduces the input for any taper and
+stride the plan accepts.
+
+A network streams: ``layers.run_chunks`` runs the batch in the chunks of
+the network forward, each chunk's patches are read from the image with
+modular indices, and its windowed output is added into one padded sum on
+the calling thread, in chunk order. Only the image, that sum and a few
+chunks are in memory, never the whole batch; a callable denoiser is still
+called once on the batch of all patches. Each pixel adds its tile terms in
+ascending row-major tile order however the batch is cut, so the output is
+bitwise the same for any chunk size.
 
 Windows use the periodic (DFT-even) Tukey convention: taper 0 is the
 all-ones rectangle, taper 1 the periodic Hann, and for taper > 0 only sample
@@ -25,10 +34,9 @@ empirically by the perturbation tests.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, ValidationError
-from .layers import network_forward
+from .layers import run_chunks
 from .tensorops import as_image
 
 DEFAULT_TAPER = 0.5
@@ -85,21 +93,55 @@ class PatchPlan:
     weight: np.ndarray = None   # the accumulated window on the image, > 0
 
 
-def _overlap_add(tiles, plan):
-    """Sum (R, Q, C, P, P) tiles, tile (i, j) at (i s, j s); (C, H, W) on the image.
+def _runs(lo, hi, width):
+    """Entries [lo, hi) of a row-major grid ``width`` wide as at most three
+    rectangles (row, rows, col, cols), in order: a partial first row, whole
+    rows, a partial last row. Each is contiguous in the flat order."""
+    runs = []
+    while lo < hi:
+        row, col = divmod(lo, width)
+        if col == 0 and hi - lo >= width:
+            rows, cols = (hi - lo) // width, width
+        else:
+            rows, cols = 1, min(width - col, hi - lo)
+        runs.append((row, rows, col, cols))
+        lo += rows * cols
+    return runs
 
-    Block (a, b) of s x s of every tile lands on one strided slice, so the
-    sum is one slice add per block phase. Descending phases add each pixel's
-    terms in ascending (row, column) tile order.
+
+def _overlap_add(acc, tiles, first, group, plan):
+    """Add (n, C', P, P) tiles, flat batch entries first .. first + n - 1,
+    into the padded sum ``acc`` (C, padded_h, padded_w).
+
+    Entry e holds channels (e % group) C' onward of tile t = e // group,
+    and tile t = (i, j) in row-major order lands at (i s, j s). Each
+    rectangle of tiles (see :func:`_runs`) is one slice add per s x s block
+    phase: block (a, b) of every tile lands on one strided slice, and
+    descending phases add each pixel's terms in ascending (row, column)
+    tile order, so any split of the batch into ascending ranges sums
+    bitwise alike.
     """
-    n_r, n_c, c = tiles.shape[:3]
     s, k = plan.stride, plan.patch // plan.stride
-    out = np.zeros((c, plan.padded_h // s, s, plan.padded_w // s, s))
-    blocks = tiles.reshape(n_r, n_c, c, k, s, k, s)
-    for a, b in reversed(list(np.ndindex(k, k))):
-        out[:, a:a + n_r, :, b:b + n_c] += blocks[:, :, :, a, :, b].transpose(2, 0, 3, 1, 4)
-    return out.reshape(c, plan.padded_h, plan.padded_w)[
-        :, plan.pad_top:plan.pad_top + plan.height, plan.pad_left:plan.pad_left + plan.width]
+    n_cols, c = len(plan.col_starts), tiles.shape[1]
+    blocks = acc.reshape(len(acc), plan.padded_h // s, s, plan.padded_w // s, s)
+    phases = list(reversed(list(np.ndindex(k, k))))
+    at = 0
+    for t, n_t, g, n_g in _runs(first, first + len(tiles), group):
+        part = tiles[at:at + n_t * n_g].reshape((n_t, n_g * c) + tiles.shape[2:])
+        at += n_t * n_g
+        out = blocks[g * c:(g + n_g) * c]
+        for i, n_i, j, n_j in _runs(t, t + n_t, n_cols):
+            lo = i * n_cols + j - t
+            rect = part[lo:lo + n_i * n_j].reshape(n_i, n_j, n_g * c, k, s, k, s)
+            for a, b in phases:
+                out[:, i + a:i + a + n_i, :, j + b:j + b + n_j] += (
+                    rect[:, :, :, a, :, b].transpose(2, 0, 3, 1, 4))
+
+
+def _crop(acc, plan):
+    """The image's part of a padded (C, padded_h, padded_w) array."""
+    return acc[:, plan.pad_top:plan.pad_top + plan.height,
+               plan.pad_left:plan.pad_left + plan.width]
 
 
 def plan_patches(height, width, patch, stride, taper=DEFAULT_TAPER):
@@ -122,8 +164,10 @@ def plan_patches(height, width, patch, stride, taper=DEFAULT_TAPER):
     pad_left, padded_w, col_starts = _cover(width, patch, stride)
     plan = PatchPlan(patch, stride, float(taper), height, width, window,
                      pad_top, pad_left, padded_h, padded_w, row_starts, col_starts)
-    tiles = np.broadcast_to(window, (len(row_starts), len(col_starts), 1, patch, patch))
-    weight = _overlap_add(tiles, plan)[0]
+    acc = np.zeros((1, padded_h, padded_w))
+    _overlap_add(acc, np.broadcast_to(window, (len(row_starts) * len(col_starts), 1,
+                                               patch, patch)), 0, 1, plan)
+    weight = _crop(acc, plan)[0]
     if not np.all(weight > 0.0):
         raise ValidationError(
             "accumulated window weight vanishes somewhere; use a smaller "
@@ -134,10 +178,14 @@ def plan_patches(height, width, patch, stride, taper=DEFAULT_TAPER):
 def patch_denoise(x, denoiser, plan):
     """Apply a patch denoiser over the whole image with windowed overlap-add.
 
-    ``denoiser`` is NetworkParams or a callable, called once on the batch of
-    every patch, (N, C, P, P), and returning the same shape. A 1-channel
-    network on a C-channel image denoises each channel of each patch as its
-    own batch entry, which is the network applied channel by channel.
+    ``denoiser`` is NetworkParams or a callable. A callable is called once
+    on the batch of every patch, (N, C, P, P), and returns the same shape.
+    A network runs in the chunks of ``layers.run_chunks``: each chunk's
+    patches are gathered from ``x`` with modular indices, and its windowed
+    output is added into the padded sum before the next chunk's, so no
+    array of the whole batch exists. A 1-channel network on a C-channel
+    image denoises each channel of each patch as its own batch entry, which
+    is the network applied channel by channel.
     """
     x = as_image(x)
     if x.ndim != 3:
@@ -149,12 +197,30 @@ def patch_denoise(x, denoiser, plan):
     c, p, s = x.shape[0], plan.patch, plan.stride
     rows = (np.arange(plan.padded_h) - plan.pad_top) % plan.height
     cols = (np.arange(plan.padded_w) - plan.pad_left) % plan.width
-    windows = sliding_window_view(x[:, rows[:, None], cols], (p, p), axis=(1, 2))
-    tiles = windows[:, ::s, ::s].transpose(1, 2, 0, 3, 4)   # (R, Q, C, P, P)
+    n_cols = len(plan.col_starts)
+    entry = 1 if not callable(denoiser) and denoiser.channels == 1 else c
+    group = c // entry   # batch entries per patch
+    n = len(plan.row_starts) * n_cols * group
+    acc = np.zeros((c, plan.padded_h, plan.padded_w))
+
+    def gather(lo, hi):
+        """Batch entries [lo, hi), (hi - lo, entry, P, P), read from x."""
+        tile, g = np.divmod(np.arange(lo, hi), group)
+        i, j = np.divmod(tile, n_cols)
+        r = rows[s * i[:, None] + np.arange(p)]
+        q = cols[s * j[:, None] + np.arange(p)]
+        ch = entry * g[:, None] + np.arange(entry)
+        return x[ch[:, :, None, None], r[:, None, :, None], q[:, None, None, :]]
+
+    def scatter(lo, hi, out):
+        out *= plan.window
+        _overlap_add(acc, out, lo, group, plan)
+
     if callable(denoiser):
-        outs = denoiser(tiles.reshape(-1, c, p, p))
+        tiles = gather(0, n)
+        _overlap_add(acc, np.reshape(denoiser(tiles), tiles.shape) * plan.window,
+                     0, group, plan)
     else:
-        entry = 1 if denoiser.channels == 1 else c
-        outs = network_forward(tiles.reshape(-1, entry, p, p), denoiser)
-    outs = np.reshape(outs, tiles.shape)
-    return _overlap_add(outs * plan.window, plan) / plan.weight
+        run_chunks(denoiser, (n, entry, p, p), lambda lo, hi: (gather(lo, hi), None),
+                   scatter)
+    return _crop(acc, plan) / plan.weight

@@ -31,17 +31,22 @@ the output image, which :func:`polyphase_image` undoes. Every
 forward runs the constants of :func:`forward_steps` with :func:`run_network`;
 :meth:`NetworkParams.steps` keeps the network's own, on its patch grid.
 
-:func:`network_forward` flattens the leading axes of a batch and cuts it
-with ``np.array_split`` into ``ceil(nbytes / CHUNK_BYTES)`` chunks (at most
-one per patch), so every layer's temporaries stay cache-sized. A batch of
-one chunk runs inline; more run on a thread pool of ``min(chunks, CPUs
-available)`` workers (``os.cpu_count()`` where the platform cannot say
-which are available), each writing its slice of one output array. Every
-stage (the dense analysis, FFTs over the last two axes, ufuncs, and the
-per-frequency mix, one complex multiply-add per matrix entry rather than a
-BLAS product, whose rounding may depend on the number of rows) computes
-each patch on its own, so the output is bitwise equal to the forward of the
-whole batch at once.
+:func:`run_chunks` is the one chunk runner. It cuts the flat entries of a
+batch as ``np.array_split`` would into ``ceil(nbytes / CHUNK_BYTES)``
+chunks (at most one per patch), so every layer's temporaries stay
+cache-sized. A caller's ``gather`` makes each chunk's input and its
+``scatter`` takes each output, on the calling thread in chunk order, so
+the batch need not exist as one array: ``inference.patch_denoise`` reads
+patches from the image and adds outputs into the blend, and
+:func:`network_forward` slices one batch and fills one output array. A
+batch of one chunk runs inline; more run on a thread pool of
+``min(chunks, CPUs available)`` workers (``os.cpu_count()`` where the
+platform cannot say which are available). Every stage (the dense
+analysis, FFTs over the last two axes, ufuncs, and the per-frequency mix,
+one complex multiply-add per matrix entry rather than a BLAS product,
+whose rounding may depend on the number of rows) computes each patch on
+its own, so the output is bitwise equal to the forward of the whole batch
+at once.
 """
 
 import math
@@ -60,7 +65,7 @@ from .wavelets import FAMILY_CYCLE, POLYPHASE, WaveletFamily, dwt2, get_family, 
 
 ALPHA_MIN = 1e-3
 DEFAULT_EPS = 1e-3
-# batch bytes per chunk of network_forward: a chunk's per-layer temporaries
+# batch bytes per chunk of run_chunks: a chunk's per-layer temporaries
 # then fit in cache and are reused by the allocator instead of each being a
 # fresh mmap of the whole batch's size
 CHUNK_BYTES = 512 * 1024
@@ -282,12 +287,12 @@ def step(ll, det, y_state, alpha, thresholds, transfer):
     return mix([*w[0], *w[1]], transfer), (kept, w)
 
 
-def run_network(y, steps, x0=None, tapes=None, out=None):
+def run_network(y, steps, x0=None, tapes=None):
     """The one runner of :func:`step`: ``steps`` on observations (B, C, H,
     W), or one (B = 1) for every state, from ``x0`` or from ``y``.
 
-    Returns the output images, written into ``out`` if given, and the
-    observation's wavelet state per family. ``tapes``, if given, gets each
+    Returns the output images and the observation's wavelet state per
+    family. ``tapes``, if given, gets each
     layer's input state and tape.
     """
     families = {fam.name: fam for fam, *_ in steps}
@@ -308,19 +313,59 @@ def run_network(y, steps, x0=None, tapes=None, out=None):
             ll = spec[:c].copy()
             det = fft.irfft2(spec[c:], s=(half_h, half_w))
             del spec
-    return polyphase_image(spec, half_h, half_w, out), y_states
+    return polyphase_image(spec, half_h, half_w), y_states
 
 
-def polyphase_image(spec, half_h, half_w, out=None):
-    """Polyphase spectrum (4C, B, h, w/2 + 1) to (B, C, 2h, 2w) images,
-    written into ``out`` if given."""
+def polyphase_image(spec, half_h, half_w):
+    """Polyphase spectrum (4C, B, h, w/2 + 1) to (B, C, 2h, 2w) images."""
     x = fft.irfft2(spec, s=(half_h, half_w))
     c, b = x.shape[0] // 4, x.shape[1]
     x = x.reshape(2, 2, c, b, half_h, half_w).transpose(3, 2, 4, 0, 5, 1)
-    if out is None:
-        out = np.empty((b, c, 2 * half_h, 2 * half_w))
-    out.reshape(x.shape)[...] = x
-    return out
+    return x.reshape(b, c, 2 * half_h, 2 * half_w)
+
+
+def run_chunks(net, shape, gather, scatter):
+    """The one chunk runner of the network on a batch of ``shape`` (..., C,
+    P, P), which need not exist as one array.
+
+    The flat entries ``[0, N)`` are cut as ``np.array_split`` cuts them
+    into ``ceil(nbytes / CHUNK_BYTES)`` parts (at most one per entry), with
+    ``net.steps()`` built once, before any chunk. For each chunk a worker
+    runs ``gather(lo, hi)``, which returns the chunk's observations and
+    starting states ``(y, x0)`` (``x0`` may be None), the network and the
+    finiteness check; ``scatter(lo, hi, out)`` then gets its output on the
+    calling thread, in ascending chunk order. More than one chunk runs on
+    ``min(chunks, CPUs available)`` threads. A non-finite output raises
+    ValidationError, from any chunk.
+    """
+    if shape[-3] != net.channels or shape[-2:] != (net.patch, net.patch):
+        raise DimensionError(
+            f"expected input shape (..., {net.channels}, {net.patch}, "
+            f"{net.patch}), got {shape}")
+    steps = net.steps()
+    n = math.prod(shape[:-3])
+    chunks = max(1, min(math.ceil(8 * math.prod(shape) / CHUNK_BYTES), n))
+    # np.array_split's rule: the first n % chunks parts get one entry more
+    size, extra = divmod(n, chunks)
+    edges = [i * size + min(i, extra) for i in range(chunks + 1)]
+
+    def run(lo, hi):
+        y, x0 = gather(lo, hi)
+        out = run_network(y, steps, x0)[0]
+        if not np.all(np.isfinite(out)):
+            raise ValidationError("network output contains non-finite values")
+        return out
+
+    if chunks == 1:
+        scatter(0, n, run(0, n))
+        return
+    # sched_getaffinity exists only on Linux
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(min(chunks, cpus)) as pool:
+        # map yields in submission order and re-raises a chunk's error
+        for lo, hi, out in zip(edges, edges[1:], pool.map(run, edges, edges[1:])):
+            scatter(lo, hi, out)
 
 
 def network_forward(y, net, x0=None):
@@ -333,44 +378,25 @@ def network_forward(y, net, x0=None):
 
     The layers run in the wavelet domain (:func:`step`): the observation is
     analysed once per family, the state once at the start, and the output
-    is the last step's polyphase split, with ``net.steps()`` (built here, on
-    the first forward of ``net``, before any chunk). A batch above
-    ``CHUNK_BYTES`` is split into ``ceil(nbytes / CHUNK_BYTES)`` chunks of
-    patches (at most one per patch) that run on ``min(chunks, CPUs
-    available)`` threads; the result is bitwise equal to the unsplit
-    forward. A non-finite output raises ValidationError, from any chunk.
+    is the last step's polyphase split. The batch runs in the chunks of
+    :func:`run_chunks`; the result is bitwise equal to the unsplit forward.
     """
     y = as_image(y)
-    if y.shape[-3] != net.channels or y.shape[-2:] != (net.patch, net.patch):
-        raise DimensionError(
-            f"expected input shape (..., {net.channels}, {net.patch}, "
-            f"{net.patch}), got {y.shape}")
     if x0 is not None:
         x0 = as_image(x0)
         if x0.shape != y.shape:
             raise DimensionError(
                 f"x0 shape {x0.shape} must match observation shape {y.shape}")
-    steps = net.steps()
     flat = (-1,) + y.shape[-3:]
-    result = np.empty(y.shape).reshape(flat)
+    ys = y.reshape(flat)
+    x0s = x0 if x0 is None else x0.reshape(flat)
+    result = np.empty(ys.shape)
 
-    def run(y, x0, out):
-        run_network(y, steps, x0, out=out)
-        if not np.all(np.isfinite(out)):
-            raise ValidationError("network output contains non-finite values")
+    def scatter(lo, hi, out):
+        result[lo:hi] = out
 
-    chunks = max(1, min(math.ceil(y.nbytes / CHUNK_BYTES), math.prod(y.shape[:-3])))
-    parts = [np.array_split(a.reshape(flat), chunks) if a is not None
-             else [None] * chunks for a in (y, x0, result)]
-    if chunks == 1:
-        run(*(p[0] for p in parts))
-    else:
-        # sched_getaffinity exists only on Linux
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        with ThreadPoolExecutor(min(chunks, cpus)) as pool:
-            # list() re-raises the first error of any chunk
-            list(pool.map(run, *parts))
+    run_chunks(net, y.shape,
+               lambda lo, hi: (ys[lo:hi], x0s if x0s is None else x0s[lo:hi]), scatter)
     return result.reshape(y.shape)
 
 

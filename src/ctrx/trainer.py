@@ -327,18 +327,32 @@ def synth_patches(n, patch, channels=1, seed=0):
 
 
 def load_patch_dataset(images, patch, stride=4, limit=None):
-    """Crop P x P patches at a fixed stride from full images (C, H, W)."""
-    patches = []
+    """Crop P x P patches at a fixed stride from full images (C, H, W).
+
+    ``images`` may be any iterable, such as a generator that decodes one
+    image at a time: each image's crops are copied out before the next is
+    drawn, and none is drawn once ``limit`` (a positive integer, or None
+    for no limit) patches are cropped.
+    """
+    if limit is not None and limit < 1:
+        raise ValidationError(f"limit must be at least 1, got {limit}")
+    parts, count = [], 0
     for img in images:
         c, h, w = img.shape
-        for r in range(0, h - patch + 1, stride):
-            for col in range(0, w - patch + 1, stride):
-                patches.append(img[:, r:r + patch, col:col + patch])
-                if limit is not None and len(patches) >= limit:
-                    return np.stack(patches)
-    if not patches:
+        crops = [img[:, r:r + patch, col:col + patch]
+                 for r in range(0, h - patch + 1, stride)
+                 for col in range(0, w - patch + 1, stride)]
+        if limit is not None:
+            crops = crops[:limit - count]
+        if crops:
+            parts.append(np.stack(crops))
+            count += len(crops)
+        del img, crops   # the crops are copied; free the image before the next
+        if count == limit:
+            break
+    if not parts:
         raise ValidationError(f"no {patch}x{patch} patches fit the given images")
-    return np.stack(patches)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _augment(batch, bits):

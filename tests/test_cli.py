@@ -649,6 +649,41 @@ def test_train_rejects_images_with_other_channel_counts(tmp_path, capsys):
     assert not wpath.exists()
 
 
+def test_train_max_patches_below_one_exits_2_before_decoding(tmp_path, capsys,
+                                                              monkeypatch):
+    # used to decode every image and then report an empty training set
+    datadir = tmp_path / "data"
+    datadir.mkdir()
+    write_image(datadir / "a.pgm", synth_patches(1, 24, seed=34)[0])
+    monkeypatch.setattr(ctrx.cli.cio, "read_image",
+                        lambda path: pytest.fail(f"decoded {path}"))
+    wpath = tmp_path / "w.ctrx"
+    code, out, err = run(["train", "--out", str(wpath), "--data", str(datadir),
+                          "--depth", "1", "--patch", "16", "--epochs", "1",
+                          "--max-patches", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-patches must be at least 1, got 0\n"
+    assert not wpath.exists()
+
+
+def test_train_stops_decoding_at_max_patches(tmp_path, capsys):
+    # the first image gives 9 patches, so the corrupt second one is never read
+    datadir = tmp_path / "data"
+    datadir.mkdir()
+    write_image(datadir / "a.pgm", synth_patches(1, 24, seed=35)[0])
+    (datadir / "b.pgm").write_bytes(b"P5\n24 24\n255\n")
+    wpath = tmp_path / "w.ctrx"
+    args = ["train", "--out", str(wpath), "--data", str(datadir), "--depth", "1",
+            "--patch", "16", "--epochs", "1", "--batch", "4", "--seed", "0"]
+    code, _, err = run([*args, "--max-patches", "10"], capsys)
+    assert code == 2
+    assert err == "error: truncated PNM payload\n"
+    assert not wpath.exists()
+    assert run([*args, "--max-patches", "9"], capsys)[0] == 0
+    assert load_weights(wpath).patch == 16
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch, toy_weights):
     wpath, _ = toy_weights
     x = synth_patches(1, 32, seed=22)[0]

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ctrx.inference
+import ctrx.layers
 from ctrx.errors import DimensionError, ValidationError
 from ctrx.inference import patch_denoise, plan_patches, tukey_window
 from ctrx.layers import init_network, network_forward
@@ -110,7 +114,7 @@ def test_batched_network_matches_per_patch_callable():
     x = rng.random((1, 33, 47))
     got = patch_denoise(x, net, plan)
     want = patch_denoise(x, lambda patch: network_forward(patch, net), plan)
-    np.testing.assert_allclose(got, want, atol=1e-13)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_patched_input_perturbation_under_observation_bound():
@@ -250,3 +254,48 @@ def test_grayscale_network_folds_color_channels_into_the_batch():
     x = np.random.default_rng(14).random((3, 40, 36))
     want = np.concatenate([patch_denoise(x[c:c + 1], net, plan) for c in range(3)])
     assert np.array_equal(patch_denoise(x, net, plan), want)
+
+
+@pytest.mark.parametrize("channels, net_channels, chunk_entries", [
+    (1, 1, 5),   # chunks of 5 tiles split rows of 6
+    (3, 1, 4),   # one entry per channel: chunks also split tiles
+    (3, 3, 5),
+])
+def test_chunks_that_split_tile_rows_sum_bitwise_alike(monkeypatch, channels,
+                                                       net_channels, chunk_entries):
+    net = init_network(depth=2, patch=16, channels=net_channels, seed=15)
+    plan = plan_patches(40, 36, 16, 8, taper=0.5)
+    x = np.random.default_rng(16).random((channels, 40, 36))
+    want = patch_denoise(x, net, plan)   # one chunk: the batch is 216 KB
+    firsts = []
+    real = ctrx.inference._overlap_add
+    monkeypatch.setattr(ctrx.inference, "_overlap_add",
+                        lambda acc, tiles, first, *rest: firsts.append(first)
+                        or real(acc, tiles, first, *rest))
+    monkeypatch.setattr(ctrx.layers, "CHUNK_BYTES",
+                        chunk_entries * net_channels * 16 * 16 * 8)
+    assert np.array_equal(patch_denoise(x, net, plan), want)
+    per_row = len(plan.col_starts) * channels // net_channels
+    assert len(firsts) > 2 and any(first % per_row for first in firsts)
+    if net_channels < channels:
+        assert any(first % channels for first in firsts)
+
+
+def test_patch_denoise_traced_peak_is_bounded(monkeypatch):
+    # no array of the whole patch batch: at P/s = 2 that batch alone is 4x
+    # the image, and gather, output and windowed output were 12.7x in all.
+    # Each worker holds one chunk's temporaries, so fix two workers.
+    monkeypatch.setattr(ctrx.layers.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    net = init_network(depth=2, patch=32, channels=1, seed=17)
+    plan = plan_patches(512, 512, 32, 16, taper=0.5)
+    x = np.random.default_rng(18).random((1, 512, 512))
+    net.steps()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        patch_denoise(x, net, plan)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * x.nbytes

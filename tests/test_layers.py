@@ -1,4 +1,5 @@
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,8 @@ from ctrx.errors import DimensionError, ValidationError
 from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, band_layout,
                          constrain_params, contraction_certificate, forward_steps,
                          gain_denominator, init_network, network_forward,
-                         polyphase_image, run_network, softplus, softplus_inverse)
+                         polyphase_image, run_chunks, run_network, softplus,
+                         softplus_inverse)
 from ctrx.tensorops import NORM_GUARD, conv_operator_norm
 from ctrx.trainer import backward, loss_mse
 from ctrx.wavelets import FAMILY_CYCLE, POLYPHASE, dwt2, get_family, shrink
@@ -206,6 +208,25 @@ def test_split_forward_is_bitwise_equal(monkeypatch, batch, channels, patch):
     y = np.random.default_rng(batch).random((batch, channels, patch, patch))
     assert y.nbytes > 2 * ctrx.layers.CHUNK_BYTES
     assert np.array_equal(network_forward(y, net), unsplit_forward(monkeypatch, y, net))
+
+
+def test_run_chunks_cuts_like_array_split_and_scatters_in_order():
+    net = init_network(depth=2, patch=64, seed=13)
+    y = np.random.default_rng(22).random((81, 1, 64, 64))
+    gathered, scattered = [], []
+
+    def gather(lo, hi):
+        gathered.append((lo, hi))
+        return y[lo:hi], None
+
+    def scatter(lo, hi, out):
+        scattered.append((lo, hi, threading.current_thread()))
+        assert np.array_equal(out, network_forward(y[lo:hi], net))
+    run_chunks(net, y.shape, gather, scatter)
+    want = [(int(part[0]), int(part[-1]) + 1)
+            for part in np.array_split(np.arange(81), 6)]   # 6 chunks of 81
+    assert sorted(gathered) == want
+    assert scattered == [(lo, hi, threading.main_thread()) for lo, hi in want]
 
 
 def test_split_forward_two_leading_axes_and_x0(monkeypatch):

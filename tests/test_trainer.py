@@ -142,6 +142,30 @@ def test_load_patch_dataset_counts():
         load_patch_dataset([np.zeros((1, 4, 4))], patch=8)
 
 
+def test_load_patch_dataset_stops_drawing_at_its_limit():
+    rng = np.random.default_rng(3)
+    images = [rng.random((2, 12, 16)) for _ in range(3)]   # 6 patches each
+    drawn = []
+
+    def source():
+        for i, img in enumerate(images):
+            drawn.append(i)
+            yield img
+    patches = load_patch_dataset(source(), patch=8, stride=4, limit=9)
+    assert drawn == [0, 1]
+    want = [img[:, r:r + 8, c:c + 8] for img in images
+            for r in (0, 4) for c in (0, 4, 8)]
+    np.testing.assert_array_equal(patches, np.stack(want[:9]))
+    np.testing.assert_array_equal(load_patch_dataset(iter(images), 8), np.stack(want))
+
+
+@pytest.mark.parametrize("limit", [0, -2])
+def test_load_patch_dataset_rejects_a_limit_below_one(limit):
+    # both used to return one patch
+    with pytest.raises(ValidationError, match=f"limit must be at least 1, got {limit}"):
+        load_patch_dataset([np.zeros((1, 16, 16))], patch=8, limit=limit)
+
+
 def test_train_zero_epochs_returns_projection_only():
     net = init_network(depth=2, patch=8, channels=1, seed=9)
     data = synth_patches(8, 8, seed=2)
