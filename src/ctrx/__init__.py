@@ -8,7 +8,7 @@ from .layers import (ContractionCertificate, LayerParams, NetworkParams,
 from .metrics import metric_report, psnr, ssim
 from .pnp import (ForwardModel, apply_adjoint, apply_forward,
                   composite_contraction_bound, grad_datafit, parse_blur_spec,
-                  pnp_fbs, simulate, trace_to_csv)
+                  pnp_fbs, trace_to_csv)
 from .tensorops import conv_operator_norm
 from .trainer import TrainConfig, backward, grad_check, loss_mse, synth_patches, train
 from .wavelets import FAMILIES, dwt2, get_family
@@ -25,6 +25,6 @@ __all__ = [
     "grad_check", "grad_datafit", "init_network",
     "loss_mse", "metric_report", "network_forward", "parse_blur_spec",
     "patch_denoise", "plan_patches", "pnp_fbs", "psnr",
-    "simulate", "ssim", "synth_patches",
+    "ssim", "synth_patches",
     "trace_to_csv", "train", "tukey_window",
 ]

@@ -1,4 +1,4 @@
-"""Command-line interface: denoise, restore, certify, train, perturb, metrics, trace.
+"""Command-line interface: denoise, restore, certify, train, perturb, metrics.
 
 Exit codes: 0 success, 2 invalid configuration (stride violations, bad
 flags), 3 corrupt weights, 4 I/O failure, 5 solver divergence, 6 unsound
@@ -54,18 +54,10 @@ def _emit(key, value):
 
 
 def _seed(args):
-    """The --seed flag, else CTRX_SEED, else 0; a non-negative integer."""
-    if args.seed is not None:
-        name, seed = "--seed", args.seed
-    else:
-        name, value = "CTRX_SEED", os.environ.get("CTRX_SEED", "0")
-        try:
-            seed = int(value)
-        except ValueError:
-            raise ValidationError(f"CTRX_SEED must be an integer, got {value!r}") from None
-    if seed < 0:
-        raise ValidationError(f"{name} must be a non-negative integer, got {seed}")
-    return seed
+    """The --seed flag, a non-negative integer."""
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _denoiser_for(args, shape):
@@ -98,18 +90,13 @@ def cmd_denoise(args):
     return 0
 
 
-def _forward_model(args):
-    blur = parse_blur_spec(args.blur)
-    stride = 1 if args.task == "deblur" else args.stride_sr
-    return ForwardModel(blur, stride=stride)
-
-
-def _run_solver(args):
+def cmd_restore(args):
     if not args.alpha_step > 0:
         raise ValidationError(f"alpha_step must be finite and positive, "
                               f"got {args.alpha_step}")
     y = cio.read_image(args.infile)
-    model = _forward_model(args)
+    model = ForwardModel(parse_blur_spec(args.blur),
+                         stride=1 if args.task == "deblur" else args.stride_sr)
     full_h, full_w = y.shape[1] * model.stride, y.shape[2] * model.stride
     fn, lip = _denoiser_for(args, (y.shape[0], full_h, full_w))
     bound = composite_contraction_bound(model, args.alpha_step, lip, full_h, full_w)
@@ -117,39 +104,26 @@ def _run_solver(args):
     if not bound < 1 and not args.allow_expansive:
         print("composite bound >= 1: convergence is not certified "
               "(pass --allow-expansive to run anyway)", file=sys.stderr)
-        return None, EXIT_EXPANSIVE
+        return EXIT_EXPANSIVE
     ref = cio.read_image(args.ref) if args.ref else None
-    trace = pnp_fbs(y, model, fn, args.alpha_step, max_iters=args.iters,
-                    tol=args.tol, ref=ref)
-    _emit("iterations", trace.iterations)
-    _emit("converged", int(trace.converged))
-    _emit("final_residual", trace.residuals[-1])
-    return trace, 0
-
-
-def _solve_and_trace(args):
-    """Run the solver and write the trace CSV when asked; (trace, exit code)."""
+    code = 0
     try:
-        trace, code = _run_solver(args)
+        trace = pnp_fbs(y, model, fn, args.alpha_step, max_iters=args.iters,
+                        tol=args.tol, ref=ref)
     except DivergenceError as err:
         trace, code = err.trace, EXIT_DIVERGED
         print(f"divergence: {err}", file=sys.stderr)
-    if args.trace and trace is not None:
+    else:
+        _emit("iterations", trace.iterations)
+        _emit("converged", int(trace.converged))
+        _emit("final_residual", trace.residuals[-1])
+    if args.trace:
         trace_to_csv(trace, args.trace)
         _emit("trace_path", args.trace)
-    return trace, code
-
-
-def cmd_restore(args):
-    trace, code = _solve_and_trace(args)
     if code:
         return code
     cio.write_image(args.outfile, trace.final)
     return 0
-
-
-def cmd_trace(args):
-    return _solve_and_trace(args)[1]
 
 
 def cmd_certify(args):
@@ -274,26 +248,6 @@ def _add_denoiser_flags(p):
                    help="Tukey taper in [0,1]; use 0 with stride = patch")
 
 
-def _add_solver_flags(p):
-    p.add_argument("--task", choices=("deblur", "sr"), required=True)
-    p.add_argument("--blur", default="delta",
-                   help="blur spec, e.g. gauss:9:2.0, box:9, disk:5, "
-                        "aniso:21:3.0:1.5:45, motion:15:diag, sparse:15:0.9:0")
-    p.add_argument("--stride-sr", type=int, default=2,
-                   help="decimation factor for --task sr")
-    p.add_argument("--alpha-step", type=float, default=1.0,
-                   help="gradient step size for PnP-FBS (finite, > 0; "
-                        "default 1.0)")
-    p.add_argument("--algo", choices=("fbs",), default="fbs",
-                   help="PnP-FBS, the only solver; kept because existing "
-                        "scripts pass --algo fbs")
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--ref", help="clean reference for per-iteration PSNR")
-    p.add_argument("--allow-expansive", action="store_true",
-                   help="run even when the composite bound is >= 1")
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="ctrx",
@@ -312,16 +266,25 @@ def build_parser():
                    help="observed (degraded) image")
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--trace", help="write the convergence trace CSV here")
-    _add_solver_flags(p)
+    p.add_argument("--task", choices=("deblur", "sr"), required=True)
+    p.add_argument("--blur", default="delta",
+                   help="blur spec, e.g. gauss:9:2.0, box:9, disk:5, "
+                        "aniso:21:3.0:1.5:45, motion:15:diag, sparse:15:0.9:0")
+    p.add_argument("--stride-sr", type=int, default=2,
+                   help="decimation factor for --task sr")
+    p.add_argument("--alpha-step", type=float, default=1.0,
+                   help="gradient step size for PnP-FBS (finite, > 0; "
+                        "default 1.0)")
+    p.add_argument("--algo", choices=("fbs",), default="fbs",
+                   help="PnP-FBS, the only solver; kept because existing "
+                        "scripts pass --algo fbs")
+    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--ref", help="clean reference for per-iteration PSNR")
+    p.add_argument("--allow-expansive", action="store_true",
+                   help="run even when the composite bound is >= 1")
     _add_denoiser_flags(p)
     p.set_defaults(func=cmd_restore)
-
-    p = sub.add_parser("trace", help="run a solve and export only the trace CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--trace", required=True)
-    _add_solver_flags(p)
-    _add_denoiser_flags(p)
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("certify", help="print per-layer and total contraction "
                        "bounds on the weights' patch grid")
@@ -334,7 +297,7 @@ def build_parser():
                    help="chroma | awgn:SIGMA (0-255 scale) | scale:EPS")
     p.add_argument("--ref", help="clean reference for PSNR reporting")
     _add_denoiser_flags(p)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("metrics", help="PSNR and SSIM between two images")
@@ -362,7 +325,7 @@ def build_parser():
     p.add_argument("--patches", type=int, default=200,
                    help="synthetic patch count when --data is absent")
     p.add_argument("--max-patches", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
     return ap

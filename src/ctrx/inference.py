@@ -10,10 +10,11 @@ A network streams: ``layers.run_chunks`` runs the batch in the chunks of
 the network forward, each chunk's patches are read from the image with
 modular indices, and its windowed output is added into one padded sum on
 the calling thread, in chunk order. Only the image, that sum and a few
-chunks are in memory, never the whole batch; a callable denoiser is still
-called once on the batch of all patches. Each pixel adds its tile terms in
-ascending row-major tile order however the batch is cut, so the output is
-bitwise the same for any chunk size.
+chunks are in memory, never the whole batch. A 1-channel network on a
+C-channel image streams one channel after another; a callable denoiser is
+still called once on the batch of all patches. Each pixel adds its tile
+terms in ascending row-major tile order however the batch is cut, so the
+output is bitwise the same for any chunk size.
 
 Windows use the periodic (DFT-even) Tukey convention: taper 0 is the
 all-ones rectangle, taper 1 the periodic Hann, and for taper > 0 only sample
@@ -109,33 +110,26 @@ def _runs(lo, hi, width):
     return runs
 
 
-def _overlap_add(acc, tiles, first, group, plan):
-    """Add (n, C', P, P) tiles, flat batch entries first .. first + n - 1,
-    into the padded sum ``acc`` (C, padded_h, padded_w).
+def _overlap_add(acc, tiles, first, plan):
+    """Add (n, C, P, P) tiles, tiles first .. first + n - 1 of the plan, into
+    the padded sum ``acc`` (C, padded_h, padded_w).
 
-    Entry e holds channels (e % group) C' onward of tile t = e // group,
-    and tile t = (i, j) in row-major order lands at (i s, j s). Each
-    rectangle of tiles (see :func:`_runs`) is one slice add per s x s block
-    phase: block (a, b) of every tile lands on one strided slice, and
-    descending phases add each pixel's terms in ascending (row, column)
-    tile order, so any split of the batch into ascending ranges sums
-    bitwise alike.
+    Tile t = (i, j) in row-major order lands at (i s, j s). Each rectangle
+    of tiles (see :func:`_runs`) is one slice add per s x s block phase:
+    block (a, b) of every tile lands on one strided slice, and descending
+    phases add each pixel's terms in ascending (row, column) tile order, so
+    any split of the batch into ascending ranges sums bitwise alike.
     """
     s, k = plan.stride, plan.patch // plan.stride
-    n_cols, c = len(plan.col_starts), tiles.shape[1]
     blocks = acc.reshape(len(acc), plan.padded_h // s, s, plan.padded_w // s, s)
     phases = list(reversed(list(np.ndindex(k, k))))
     at = 0
-    for t, n_t, g, n_g in _runs(first, first + len(tiles), group):
-        part = tiles[at:at + n_t * n_g].reshape((n_t, n_g * c) + tiles.shape[2:])
-        at += n_t * n_g
-        out = blocks[g * c:(g + n_g) * c]
-        for i, n_i, j, n_j in _runs(t, t + n_t, n_cols):
-            lo = i * n_cols + j - t
-            rect = part[lo:lo + n_i * n_j].reshape(n_i, n_j, n_g * c, k, s, k, s)
-            for a, b in phases:
-                out[:, i + a:i + a + n_i, :, j + b:j + b + n_j] += (
-                    rect[:, :, :, a, :, b].transpose(2, 0, 3, 1, 4))
+    for i, n_i, j, n_j in _runs(first, first + len(tiles), len(plan.col_starts)):
+        rect = tiles[at:at + n_i * n_j].reshape(n_i, n_j, len(acc), k, s, k, s)
+        at += n_i * n_j
+        for a, b in phases:
+            blocks[:, i + a:i + a + n_i, :, j + b:j + b + n_j] += (
+                rect[:, :, :, a, :, b].transpose(2, 0, 3, 1, 4))
 
 
 def _crop(acc, plan):
@@ -166,7 +160,7 @@ def plan_patches(height, width, patch, stride, taper=DEFAULT_TAPER):
                      pad_top, pad_left, padded_h, padded_w, row_starts, col_starts)
     acc = np.zeros((1, padded_h, padded_w))
     _overlap_add(acc, np.broadcast_to(window, (len(row_starts) * len(col_starts), 1,
-                                               patch, patch)), 0, 1, plan)
+                                               patch, patch)), 0, plan)
     weight = _crop(acc, plan)[0]
     if not np.all(weight > 0.0):
         raise ValidationError(
@@ -184,8 +178,7 @@ def patch_denoise(x, denoiser, plan):
     patches are gathered from ``x`` with modular indices, and its windowed
     output is added into the padded sum before the next chunk's, so no
     array of the whole batch exists. A 1-channel network on a C-channel
-    image denoises each channel of each patch as its own batch entry, which
-    is the network applied channel by channel.
+    image runs once per channel, on that channel's (N, 1, P, P) patches.
     """
     x = as_image(x)
     if x.ndim != 3:
@@ -195,32 +188,35 @@ def patch_denoise(x, denoiser, plan):
             f"plan was built for {plan.height}x{plan.width}, image is "
             f"{x.shape[1]}x{x.shape[2]}")
     c, p, s = x.shape[0], plan.patch, plan.stride
+    m = c if callable(denoiser) else denoiser.channels   # channels per run
+    if m not in (1, c):
+        raise DimensionError(
+            f"a {m}-channel network cannot denoise a {c}-channel image")
     rows = (np.arange(plan.padded_h) - plan.pad_top) % plan.height
     cols = (np.arange(plan.padded_w) - plan.pad_left) % plan.width
     n_cols = len(plan.col_starts)
-    entry = 1 if not callable(denoiser) and denoiser.channels == 1 else c
-    group = c // entry   # batch entries per patch
-    n = len(plan.row_starts) * n_cols * group
+    n = len(plan.row_starts) * n_cols
+    ch = np.arange(m)[:, None, None]
     acc = np.zeros((c, plan.padded_h, plan.padded_w))
+    for k in range(0, c, m):
+        img, out = x[k:k + m], acc[k:k + m]
 
-    def gather(lo, hi):
-        """Batch entries [lo, hi), (hi - lo, entry, P, P), read from x."""
-        tile, g = np.divmod(np.arange(lo, hi), group)
-        i, j = np.divmod(tile, n_cols)
-        r = rows[s * i[:, None] + np.arange(p)]
-        q = cols[s * j[:, None] + np.arange(p)]
-        ch = entry * g[:, None] + np.arange(entry)
-        return x[ch[:, :, None, None], r[:, None, :, None], q[:, None, None, :]]
+        def gather(lo, hi):
+            """Tiles [lo, hi) of ``img``, (hi - lo, m, P, P)."""
+            i, j = np.divmod(np.arange(lo, hi), n_cols)
+            r = rows[s * i[:, None] + np.arange(p)]
+            q = cols[s * j[:, None] + np.arange(p)]
+            return img[ch, r[:, None, :, None], q[:, None, None, :]]
 
-    def scatter(lo, hi, out):
-        out *= plan.window
-        _overlap_add(acc, out, lo, group, plan)
+        def scatter(lo, hi, tiles):
+            tiles *= plan.window
+            _overlap_add(out, tiles, lo, plan)
 
-    if callable(denoiser):
-        tiles = gather(0, n)
-        _overlap_add(acc, np.reshape(denoiser(tiles), tiles.shape) * plan.window,
-                     0, group, plan)
-    else:
-        run_chunks(denoiser, (n, entry, p, p), lambda lo, hi: (gather(lo, hi), None),
-                   scatter)
+        if callable(denoiser):
+            tiles = gather(0, n)
+            _overlap_add(out, np.reshape(denoiser(tiles), tiles.shape) * plan.window,
+                         0, plan)
+        else:
+            run_chunks(denoiser, (n, m, p, p), lambda lo, hi: (gather(lo, hi), None),
+                       scatter)
     return _crop(acc, plan) / plan.weight

@@ -16,10 +16,11 @@ the full grid. For stride > 1 the norm is never below 1 (decimation leaves
 ``L_D < 1``.
 
 Each iteration records the residual ``||x_new - x||`` and the data fit and
-PSNR of ``x_new``, and the loop stops once the residual is at most
-``tol * ||x||`` (``tol`` finite and >= 0) or after ``max_iters`` (at least
-1) iterations. A non-finite iterate or residual raises DivergenceError, its
-trace's ``final`` the last finite iterate.
+PSNR of ``x_new``. It applies ``A`` once: ``A x_new - y`` gives the data fit
+and, through ``A^T``, the next iteration's gradient. The loop stops once the
+residual is at most ``tol * ||x||`` (``tol`` finite and >= 0) or after
+``max_iters`` (at least 1) iterations. A non-finite iterate or residual
+raises DivergenceError, its trace's ``final`` the last finite iterate.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import DimensionError, DivergenceError, ValidationError
-from .io import Rng, add_awgn, open_new
+from .io import Rng, open_new
 from .metrics import psnr
 from .tensorops import as_image, kernel_spectrum
 
@@ -38,11 +39,10 @@ DEFAULT_MAX_ITERS = 500
 
 @dataclass(frozen=True, eq=False)
 class ForwardModel:
-    """Blur taps (k x k, odd, unit sum by convention), decimation stride, noise level."""
+    """Blur taps (k x k, odd, unit sum by convention) and decimation stride."""
 
     blur: np.ndarray
     stride: int = 1
-    noise_sigma: float = 0.0
     _spectra: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -58,9 +58,6 @@ class ForwardModel:
         if not (isinstance(self.stride, (int, np.integer)) and self.stride >= 1):
             raise ValidationError(
                 f"stride must be an integer >= 1, got {self.stride!r}")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValidationError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "blur", blur)
         object.__setattr__(self, "stride", int(self.stride))
 
@@ -109,14 +106,6 @@ def grad_datafit(x, y, model):
 
 def datafit(x, y, model):
     return 0.5 * float(np.sum((apply_forward(x, model) - y) ** 2))
-
-
-def simulate(x, model, rng=None):
-    """Degrade a clean image: forward model plus AWGN at the model's sigma."""
-    y = apply_forward(x, model)
-    if model.noise_sigma > 0:
-        y = add_awgn(y, model.noise_sigma, rng if rng is not None else Rng(0))
-    return y
 
 
 @dataclass(eq=False)
@@ -169,9 +158,10 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
     full_h = y.shape[-2] * model.stride
     full_w = y.shape[-1] * model.stride
     x = apply_adjoint(y, model, full_h, full_w) if x0 is None else as_image(x0).copy()
+    r = apply_forward(x, model) - y   # A x - y, carried from the trace to the step
     trace = PnPTrace()
     for _ in range(max_iters):
-        x_new = denoiser(x - alpha_step * grad_datafit(x, y, model))
+        x_new = denoiser(x - alpha_step * apply_adjoint(r, model, full_h, full_w))
         with np.errstate(over="ignore", invalid="ignore"):
             res = float(np.linalg.norm(x_new - x))
         if not np.all(np.isfinite(x_new)) or not np.isfinite(res):
@@ -179,7 +169,8 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
             raise DivergenceError(
                 "non-finite iterate in PnP-FBS (expansive composition?)", trace)
         trace.residuals.append(res)
-        trace.datafits.append(datafit(x_new, y, model))
+        r = apply_forward(x_new, model) - y
+        trace.datafits.append(0.5 * float(np.sum(r ** 2)))
         trace.psnrs.append(float("nan") if ref is None else psnr(x_new, ref))
         norm = float(np.linalg.norm(x))
         x = x_new

@@ -28,7 +28,8 @@ REMOVED = {
     ctrx.layers: ("layer_forward", "tap_bases", "_transfers", "band_aliases",
                   "alias_columns"),
     ctrx.pnp: ("_prox_datafit", "pnp_drs", "drs_contraction_bound", "_datafit_prox",
-               "_drs_weight", "_iterate", "_ata_spectrum", "_alias_spectrum"),
+               "_drs_weight", "_iterate", "_ata_spectrum", "_alias_spectrum",
+               "simulate"),
     ctrx.metrics: ("gaussian_window",),
 }
 

@@ -372,8 +372,8 @@ def test_fbs_alpha_step_defaults_to_one(tmp_path, capsys):
     write_image(src, np.random.default_rng(9).random((1, 16, 16)))
 
     def bound(*flags):
-        code, _, err = run(["trace", "--in", str(src), "--trace",
-                            str(tmp_path / "t.csv"), "--task", "deblur",
+        code, _, err = run(["restore", "--in", str(src), "--out",
+                            str(tmp_path / "x.raw"), "--task", "deblur",
                             "--blur", "gauss:3:1.0", "--iters", "1",
                             "--identity", *flags], capsys)
         assert code == 0
@@ -402,36 +402,45 @@ def test_restore_channel_mismatch_exits_2(tmp_path, capsys, flags):
     assert not dst.exists()
 
 
-@pytest.mark.parametrize("command", ["restore", "trace"])
+def _restore_writing(out, written):
+    """The head of a restore argv: ``out`` is the image (``written="restore"``)
+    or the ``--trace`` CSV, with the image as x.raw beside it."""
+    if written == "restore":
+        return ["restore", "--out", str(out)]
+    return ["restore", "--out", str(out.with_name("x.raw")), "--trace", str(out)]
+
+
+@pytest.mark.parametrize("written", ["restore", "trace"])
 @pytest.mark.parametrize("iters", ["0", "-2"])
-def test_solvers_reject_fewer_than_one_iteration(tmp_path, capsys, command, iters):
+def test_solvers_reject_fewer_than_one_iteration(tmp_path, capsys, written, iters):
     # with no iteration there is no result: the start A^T y must not be
     # written as one, nor a trace CSV holding only its header
     src = tmp_path / "y.raw"
     out = tmp_path / "out"
     write_image(src, np.random.default_rng(6).random((1, 16, 16)))
-    target = ["--out" if command == "restore" else "--trace", str(out)]
-    code, _, err = run([command, "--in", str(src), *target, "--task", "deblur",
-                        "--blur", "gauss:3:1.0", "--alpha-step", "1.0",
-                        "--identity", "--iters", iters], capsys)
+    code, _, err = run([*_restore_writing(out, written), "--in", str(src),
+                        "--task", "deblur", "--blur", "gauss:3:1.0",
+                        "--alpha-step", "1.0", "--identity", "--iters", iters],
+                       capsys)
     assert code == 2
     assert "\nerror: max_iters must be >= 1" in err
     assert not out.exists()
+    assert not (tmp_path / "x.raw").exists()
 
 
-@pytest.mark.parametrize("command", ["restore", "trace"])
+@pytest.mark.parametrize("written", ["restore", "trace"])
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_solvers_reject_a_negative_or_non_finite_tol(tmp_path, capsys, command, tol):
+def test_solvers_reject_a_negative_or_non_finite_tol(tmp_path, capsys, written, tol):
     src = tmp_path / "y.raw"
     out = tmp_path / "out"
     write_image(src, np.random.default_rng(6).random((1, 16, 16)))
-    target = ["--out" if command == "restore" else "--trace", str(out)]
-    code, _, err = run([command, "--in", str(src), *target, "--task", "deblur",
-                        "--blur", "gauss:3:1.0", "--identity", "--tol", tol],
-                       capsys)
+    code, _, err = run([*_restore_writing(out, written), "--in", str(src),
+                        "--task", "deblur", "--blur", "gauss:3:1.0",
+                        "--identity", "--tol", tol], capsys)
     assert code == 2
     assert "\nerror: tol must be finite and >= 0" in err
     assert not out.exists()
+    assert not (tmp_path / "x.raw").exists()
 
 
 def test_restore_tol_zero_runs_every_iteration(tmp_path, capsys):
@@ -445,16 +454,17 @@ def test_restore_tol_zero_runs_every_iteration(tmp_path, capsys):
     assert kv(err)["iterations"] == "3"
 
 
-def test_trace_command_writes_only_csv(tmp_path, capsys):
-    y = np.random.default_rng(6).random((1, 16, 16))
+def test_trace_command_is_gone(tmp_path, capsys):
+    # restore --trace writes the same CSV
     src = tmp_path / "y.raw"
     tr = tmp_path / "t.csv"
-    write_image(src, y)
-    code, _, err = run(["trace", "--in", str(src), "--trace", str(tr),
-                        "--task", "deblur", "--blur", "gauss:3:1.0",
-                        "--alpha-step", "1.0", "--identity"], capsys)
-    assert code == 0
-    assert tr.read_text().startswith("iter,residual,datafit,psnr")
+    write_image(src, np.random.default_rng(6).random((1, 16, 16)))
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--in", str(src), "--trace", str(tr), "--task", "deblur",
+              "--blur", "gauss:3:1.0", "--alpha-step", "1.0", "--identity"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'trace'" in capsys.readouterr().err
+    assert not tr.exists()
 
 
 def test_certify_prints_layers_and_exits_zero(tmp_path, capsys):
@@ -684,19 +694,19 @@ def test_train_stops_decoding_at_max_patches(tmp_path, capsys):
     assert load_weights(wpath).patch == 16
 
 
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch, toy_weights):
+def test_seed_defaults_to_zero_whatever_the_environment(tmp_path, capsys,
+                                                        monkeypatch, toy_weights):
+    # no environment variable stands in for --seed
     wpath, _ = toy_weights
     x = synth_patches(1, 32, seed=22)[0]
     src = tmp_path / "x.raw"
     write_image(src, x)
     monkeypatch.setenv("CTRX_SEED", "55")
-    code1, out1, _ = run(["perturb", "--in", str(src), "--perturb", "awgn:10",
-                          "--weights", wpath, "--stride", "16"], capsys)
-    code2, out2, _ = run(["perturb", "--in", str(src), "--perturb", "awgn:10",
-                          "--weights", wpath, "--stride", "16", "--seed", "55"],
-                         capsys)
-    assert code1 == code2 == 0
-    assert kv(out1) == kv(out2)
+    outs = [run(["perturb", "--in", str(src), "--perturb", "awgn:10",
+                 "--weights", wpath, "--stride", "16", *seed], capsys)
+            for seed in ([], ["--seed", "0"], ["--seed", "55"])]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    assert kv(outs[0][1]) == kv(outs[1][1]) != kv(outs[2][1])
 
 
 def _seed_command(command, tmp_path, weights):
@@ -709,33 +719,14 @@ def _seed_command(command, tmp_path, weights):
 
 
 @pytest.mark.parametrize("command", ["train", "perturb"])
-def test_seed_env_that_is_not_an_integer_exits_2(tmp_path, capsys, monkeypatch,
-                                                 toy_weights, command):
-    # used to escape _seed as a ValueError traceback (exit 1)
-    monkeypatch.setenv("CTRX_SEED", "abc")
-    args = _seed_command(command, tmp_path, toy_weights[0])
-    code, _, err = run(args, capsys)
-    assert code == 2
-    assert "CTRX_SEED" in err and "'abc'" in err
-    assert not (tmp_path / "w.ctrx").exists()
-
-
-@pytest.mark.parametrize("source", ["flag", "env"])
-@pytest.mark.parametrize("command", ["train", "perturb"])
-def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, toy_weights,
-                               command, source):
+def test_negative_seed_exits_2(tmp_path, capsys, toy_weights, command):
     # train used to escape as numpy's ValueError traceback (exit 1), and
     # perturb ran with the seed
     args = _seed_command(command, tmp_path, toy_weights[0])
-    if source == "flag":
-        args, name = [*args, "--seed", "-1"], "--seed"
-    else:
-        monkeypatch.setenv("CTRX_SEED", "-1")
-        name = "CTRX_SEED"
-    code, out, err = run(args, capsys)
+    code, out, err = run([*args, "--seed", "-1"], capsys)
     assert code == 2
     assert out == ""
-    assert err == f"error: {name} must be a non-negative integer, got -1\n"
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
     assert not (tmp_path / "w.ctrx").exists()
 
 
@@ -877,9 +868,7 @@ def test_property_any_flipped_byte_exits_3(tmp_path, capsys, saved_rgb_weights,
     ("denoise", ["--patch", "32"]),
     ("denoise", ["--seed", "3"]),
     ("restore", ["--seed", "3"]),
-    ("trace", ["--seed", "3"]),
-], ids=["restore_lip", "denoise_patch", "denoise_seed", "restore_seed",
-        "trace_seed"])
+], ids=["restore_lip", "denoise_patch", "denoise_seed", "restore_seed"])
 def test_removed_flags_are_rejected(tmp_path, capsys, toy_weights, command, flags):
     # the certified numbers come from the weights alone: no flag overrides
     # the denoiser's bound or restates its patch size, and only perturb and
@@ -890,10 +879,7 @@ def test_removed_flags_are_rejected(tmp_path, capsys, toy_weights, command, flag
     argv = {"denoise": ["denoise", "--out", str(tmp_path / "y.raw")],
             "restore": ["restore", "--out", str(tmp_path / "y.raw"),
                         "--task", "sr", "--blur", "gauss:9:2.0",
-                        "--alpha-step", "1.0", "--iters", "3"],
-            "trace": ["trace", "--trace", str(tmp_path / "t.csv"),
-                      "--task", "deblur", "--alpha-step", "1.0",
-                      "--iters", "3", "--allow-expansive"]}[command]
+                        "--alpha-step", "1.0", "--iters", "3"]}[command]
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--in", str(src), "--weights", wpath, *flags])
     assert exc.value.code == 2

@@ -256,9 +256,19 @@ def test_grayscale_network_folds_color_channels_into_the_batch():
     assert np.array_equal(patch_denoise(x, net, plan), want)
 
 
+@pytest.mark.parametrize("net_channels, channels", [(3, 1), (2, 3), (3, 2)])
+def test_network_and_image_channel_mismatch_is_named(net_channels, channels):
+    # used to fail deep in the chunk runner on a patch count never passed
+    net = init_network(depth=1, patch=16, channels=net_channels, seed=19)
+    plan = plan_patches(40, 36, 16, 8, taper=0.5)
+    with pytest.raises(DimensionError, match=f"a {net_channels}-channel network "
+                                             f"cannot denoise a {channels}-channel image"):
+        patch_denoise(np.zeros((channels, 40, 36)), net, plan)
+
+
 @pytest.mark.parametrize("channels, net_channels, chunk_entries", [
     (1, 1, 5),   # chunks of 5 tiles split rows of 6
-    (3, 1, 4),   # one entry per channel: chunks also split tiles
+    (3, 1, 4),   # one channel per run, each in chunks of 4 tiles
     (3, 3, 5),
 ])
 def test_chunks_that_split_tile_rows_sum_bitwise_alike(monkeypatch, channels,
@@ -275,10 +285,7 @@ def test_chunks_that_split_tile_rows_sum_bitwise_alike(monkeypatch, channels,
     monkeypatch.setattr(ctrx.layers, "CHUNK_BYTES",
                         chunk_entries * net_channels * 16 * 16 * 8)
     assert np.array_equal(patch_denoise(x, net, plan), want)
-    per_row = len(plan.col_starts) * channels // net_channels
-    assert len(firsts) > 2 and any(first % per_row for first in firsts)
-    if net_channels < channels:
-        assert any(first % channels for first in firsts)
+    assert len(firsts) > 2 and any(first % len(plan.col_starts) for first in firsts)
 
 
 def test_patch_denoise_traced_peak_is_bounded(monkeypatch):
