@@ -8,11 +8,12 @@ stride the plan accepts.
 
 A network streams: ``layers.run_chunks`` runs the batch in the chunks of
 the network forward, each chunk's patches are read from the image with
-modular indices, and its windowed output is added into one padded sum on
-the calling thread, in chunk order. Only the image, that sum and a few
-chunks are in memory, never the whole batch. A 1-channel network on a
-C-channel image streams one channel after another; a callable denoiser is
-still called once on the batch of all patches. Each pixel adds its tile
+modular indices, and the outputs it yields are windowed and added into
+one padded sum on the calling thread, in chunk order. Only the image,
+that sum and a few chunks are in memory, never the whole batch. A
+1-channel network on a C-channel image streams one channel after another;
+a callable denoiser is still called once on the batch of all patches, and
+its output goes through the same loop as one chunk. Each pixel adds its tile
 terms in ascending row-major tile order however the batch is cut, so the
 output is bitwise the same for any chunk size.
 
@@ -179,6 +180,8 @@ def patch_denoise(x, denoiser, plan):
     output is added into the padded sum before the next chunk's, so no
     array of the whole batch exists. A 1-channel network on a C-channel
     image runs once per channel, on that channel's (N, 1, P, P) patches.
+    One loop windows (out of place) and adds each chunk and a callable's
+    output alike, so a callable's returned array is never written to.
     """
     x = as_image(x)
     if x.ndim != 3:
@@ -208,15 +211,10 @@ def patch_denoise(x, denoiser, plan):
             q = cols[s * j[:, None] + np.arange(p)]
             return img[ch, r[:, None, :, None], q[:, None, None, :]]
 
-        def scatter(lo, hi, tiles):
-            tiles *= plan.window
-            _overlap_add(out, tiles, lo, plan)
-
         if callable(denoiser):
-            tiles = gather(0, n)
-            _overlap_add(out, np.reshape(denoiser(tiles), tiles.shape) * plan.window,
-                         0, plan)
+            chunks = [(0, n, np.reshape(denoiser(gather(0, n)), (n, m, p, p)))]
         else:
-            run_chunks(denoiser, (n, m, p, p), lambda lo, hi: (gather(lo, hi), None),
-                       scatter)
+            chunks = run_chunks(denoiser, (n, m, p, p), lambda lo, hi: (gather(lo, hi), None))
+        for lo, _, tiles in chunks:
+            _overlap_add(out, tiles * plan.window, lo, plan)
     return _crop(acc, plan) / plan.weight

@@ -260,9 +260,8 @@ def save_weights(path, net):
     buf += struct.pack("<I", WEIGHTS_VERSION)
     buf += struct.pack("<I", len(meta)) + meta
     for layer in net.layers:
-        buf += _block(np.array([layer.alpha]))
-        buf += _block(layer.raw_thresholds)
-        buf += _block(layer.kernel)
+        for arr in layer.params:
+            buf += _block(arr)
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
     with open_new(path) as f:
         f.write(bytes(buf))

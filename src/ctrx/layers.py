@@ -34,9 +34,9 @@ forward runs the constants of :func:`forward_steps` with :func:`run_network`;
 :func:`run_chunks` is the one chunk runner. It cuts the flat entries of a
 batch as ``np.array_split`` would into ``ceil(nbytes / CHUNK_BYTES)``
 chunks (at most one per patch), so every layer's temporaries stay
-cache-sized. A caller's ``gather`` makes each chunk's input and its
-``scatter`` takes each output, on the calling thread in chunk order, so
-the batch need not exist as one array: ``inference.patch_denoise`` reads
+cache-sized. A caller's ``gather`` makes each chunk's input, and the
+runner yields each output on the calling thread in chunk order, so the
+batch need not exist as one array: ``inference.patch_denoise`` reads
 patches from the image and adds outputs into the blend, and
 :func:`network_forward` slices one batch and fills one output array. A
 batch of one chunk runs inline; more run on a thread pool of
@@ -116,6 +116,11 @@ class LayerParams:
         if self.kernel.shape[0] != self.kernel.shape[1]:
             raise DimensionError(
                 f"layer kernels must have c_out = c_in, got {self.kernel.shape}")
+
+    @property
+    def params(self):
+        """The trained ``(alpha, raw_thresholds, kernel)``, in constructor order."""
+        return self.alpha, self.raw_thresholds, self.kernel
 
     def thresholds(self):
         """Softplus of ``raw_thresholds``."""
@@ -324,19 +329,20 @@ def polyphase_image(spec, half_h, half_w):
     return x.reshape(b, c, 2 * half_h, 2 * half_w)
 
 
-def run_chunks(net, shape, gather, scatter):
+def run_chunks(net, shape, gather):
     """The one chunk runner of the network on a batch of ``shape`` (..., C,
-    P, P), which need not exist as one array.
+    P, P), which need not exist as one array; a generator of ``(lo, hi,
+    out)``.
 
     The flat entries ``[0, N)`` are cut as ``np.array_split`` cuts them
     into ``ceil(nbytes / CHUNK_BYTES)`` parts (at most one per entry), with
     ``net.steps()`` built once, before any chunk. For each chunk a worker
     runs ``gather(lo, hi)``, which returns the chunk's observations and
     starting states ``(y, x0)`` (``x0`` may be None), the network and the
-    finiteness check; ``scatter(lo, hi, out)`` then gets its output on the
-    calling thread, in ascending chunk order. More than one chunk runs on
-    ``min(chunks, CPUs available)`` threads. A non-finite output raises
-    ValidationError, from any chunk.
+    finiteness check; the output ``out`` of entries ``[lo, hi)`` is then
+    yielded on the calling thread, in ascending chunk order. More than one
+    chunk runs on ``min(chunks, CPUs available)`` threads. A non-finite
+    output raises ValidationError, from any chunk.
     """
     if shape[-3] != net.channels or shape[-2:] != (net.patch, net.patch):
         raise DimensionError(
@@ -357,15 +363,14 @@ def run_chunks(net, shape, gather, scatter):
         return out
 
     if chunks == 1:
-        scatter(0, n, run(0, n))
+        yield 0, n, run(0, n)
         return
     # sched_getaffinity exists only on Linux
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     with ThreadPoolExecutor(min(chunks, cpus)) as pool:
         # map yields in submission order and re-raises a chunk's error
-        for lo, hi, out in zip(edges, edges[1:], pool.map(run, edges, edges[1:])):
-            scatter(lo, hi, out)
+        yield from zip(edges, edges[1:], pool.map(run, edges, edges[1:]))
 
 
 def network_forward(y, net, x0=None):
@@ -378,8 +383,8 @@ def network_forward(y, net, x0=None):
 
     The layers run in the wavelet domain (:func:`step`): the observation is
     analysed once per family, the state once at the start, and the output
-    is the last step's polyphase split. The batch runs in the chunks of
-    :func:`run_chunks`; the result is bitwise equal to the unsplit forward.
+    is the last step's polyphase split. The chunks that :func:`run_chunks`
+    yields fill one result array; it is bitwise equal to the unsplit forward.
     """
     y = as_image(y)
     if x0 is not None:
@@ -391,12 +396,9 @@ def network_forward(y, net, x0=None):
     ys = y.reshape(flat)
     x0s = x0 if x0 is None else x0.reshape(flat)
     result = np.empty(ys.shape)
-
-    def scatter(lo, hi, out):
+    for lo, hi, out in run_chunks(
+            net, y.shape, lambda lo, hi: (ys[lo:hi], x0s if x0s is None else x0s[lo:hi])):
         result[lo:hi] = out
-
-    run_chunks(net, y.shape,
-               lambda lo, hi: (ys[lo:hi], x0s if x0s is None else x0s[lo:hi]), scatter)
     return result.reshape(y.shape)
 
 

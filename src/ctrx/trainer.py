@@ -18,7 +18,7 @@ Optimization is SGD with momentum plus the constraint projection after every
 step, so the contraction certificate holds at every point of training.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
@@ -58,15 +58,6 @@ class TrainConfig:
             raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if list(self.decay_epochs) != sorted(self.decay_epochs):
             raise ValidationError("decay epochs must be ascending")
-
-
-@dataclass(eq=False)
-class GradientSet:
-    """Per-layer gradients mirroring LayerParams shapes."""
-
-    alpha: list = field(default_factory=list)
-    raw_thresholds: list = field(default_factory=list)
-    kernel: list = field(default_factory=list)
 
 
 def loss_mse(pred, target):
@@ -154,6 +145,7 @@ def backward(net, y, target):
     """Loss and analytic parameter gradients for a batch.
 
     ``y`` and ``target`` are (B, C, P, P) (a single image is promoted).
+    The gradients are one tuple per layer, shaped as ``LayerParams.params``.
     The gradient runs back through the same steps: through each transfer
     by its conjugate transpose, per frequency, on the same spectra.
     """
@@ -177,7 +169,7 @@ def backward(net, y, target):
     half = p // 2
     # the gradient at the output, as the spectrum of its polyphase split
     gf = fft.rfft2(band_layout(dwt2(g, POLYPHASE)))
-    grads = GradientSet([None] * net.depth, [None] * net.depth, [None] * net.depth)
+    grads = [None] * net.depth
     for idx in range(net.depth - 1, -1, -1):
         layer = net.layers[idx]
         fam, target, _, scale, _, transfer = steps[idx]
@@ -198,9 +190,7 @@ def backward(net, y, target):
                        + float(np.sum(g_det * (y_det - det_in))))
         if idx:
             gf = (1.0 - layer.alpha) * np.concatenate((gw[:c], fft.rfft2(g_det)))
-        grads.alpha[idx] = alpha_grad
-        grads.raw_thresholds[idx] = raw_grad
-        grads.kernel[idx] = kernel_grad
+        grads[idx] = (alpha_grad, raw_grad, kernel_grad)
         if not np.isfinite(alpha_grad) or not np.all(np.isfinite(kernel_grad)):
             raise TrainingFailureError(f"non-finite gradient at layer {idx}")
     return loss, grads
@@ -215,18 +205,12 @@ def _loss_and_masks(net, y, target, norms):
 
 
 def _perturbed_net(net, layer_idx, kind, coord, delta):
+    """``net`` with ``delta`` added to ``params[kind][coord]`` of one layer."""
     layers = list(net.layers)
     layer = layers[layer_idx]
-    alpha, raw, kernel = layer.alpha, layer.raw_thresholds, layer.kernel
-    if kind == "alpha":
-        alpha = alpha + delta
-    elif kind == "raw":
-        raw = raw.copy()
-        raw[coord] += delta
-    else:
-        kernel = kernel.copy()
-        kernel[coord] += delta
-    layers[layer_idx] = LayerParams(alpha, raw, kernel, layer.family)
+    params = [np.array(p) for p in layer.params]
+    params[kind][coord] += delta
+    layers[layer_idx] = LayerParams(*params, layer.family)
     return NetworkParams(layers, eps=net.eps, patch=net.patch,
                          channels=net.channels)
 
@@ -239,8 +223,10 @@ class GradCheckReport:
     skipped_kinks: int
 
 
-def grad_check(net, y, target, step=1e-6, tol=1e-4, max_coords=500, seed=0):
-    """Central finite differences against :func:`backward`.
+def grad_check(net, y, target, step=1e-6, tol=1e-4, seed=0):
+    """Central finite differences against :func:`backward`, at each layer's
+    alpha and 4 threshold and 6 kernel entries drawn at random; a coordinate
+    is named (layer, "alpha" | "raw" | "kernel", index).
 
     Coordinates whose threshold activation pattern differs between the two
     perturbed evaluations sit next to a soft-threshold kink where central
@@ -257,15 +243,11 @@ def grad_check(net, y, target, step=1e-6, tol=1e-4, max_coords=500, seed=0):
     rng = np.random.default_rng(seed)
     coords = []
     for li, layer in enumerate(net.layers):
-        coords.append((li, "alpha", ()))
-        for flat in rng.choice(layer.raw_thresholds.size,
-                               min(4, layer.raw_thresholds.size), replace=False):
-            coords.append((li, "raw", np.unravel_index(flat, layer.raw_thresholds.shape)))
-        for flat in rng.choice(layer.kernel.size,
-                               min(6, layer.kernel.size), replace=False):
-            coords.append((li, "kernel", np.unravel_index(flat, layer.kernel.shape)))
-    if len(coords) > max_coords:
-        coords = coords[:max_coords]
+        coords.append((li, 0, ()))
+        for kind, count in ((1, 4), (2, 6)):
+            arr = layer.params[kind]
+            coords += [(li, kind, np.unravel_index(flat, arr.shape))
+                       for flat in rng.choice(arr.size, min(count, arr.size), replace=False)]
 
     worst = 0.0
     worst_coord = None
@@ -280,17 +262,12 @@ def grad_check(net, y, target, step=1e-6, tol=1e-4, max_coords=500, seed=0):
             skipped += 1
             continue
         fd = (loss_p - loss_m) / (2 * step)
-        if kind == "alpha":
-            an = grads.alpha[li]
-        elif kind == "raw":
-            an = grads.raw_thresholds[li][coord]
-        else:
-            an = grads.kernel[li][coord]
-        rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
+        an = np.asarray(grads[li][kind])[coord]
+        rel = float(abs(fd - an) / max(abs(fd), abs(an), 1e-8))
         checked += 1
         if rel > worst:
             worst = rel
-            worst_coord = (li, kind, coord)
+            worst_coord = (li, ("alpha", "raw", "kernel")[kind], coord)
     report = GradCheckReport(worst, worst_coord, checked, skipped)
     if worst > tol:
         raise TrainingFailureError(
@@ -395,9 +372,9 @@ def train(net, dataset, cfg, val_dataset=None):
     val = None if val_dataset is None else _patches(val_dataset, net, "the validation set")
     rng = Rng(cfg.seed)
     net = constrain_params(net)
-    vel_alpha = [0.0] * net.depth
-    vel_raw = [np.zeros_like(l.raw_thresholds) for l in net.layers]
-    vel_kernel = [np.zeros_like(l.kernel) for l in net.layers]
+    # one momentum tuple per layer, like the gradients; a scalar 0 gives the
+    # first step exactly as arrays of zeros would
+    vel = [(0.0, 0.0, 0.0)] * net.depth
     curve = []
     initial_loss = None
     bad_epochs = 0
@@ -414,18 +391,12 @@ def train(net, dataset, cfg, val_dataset=None):
             noisy = add_awgn(clean, cfg.sigma, rng)
             loss, grads = backward(net, noisy, clean)
             epoch_loss += loss
-            new_layers = []
-            for li, layer in enumerate(net.layers):
-                vel_alpha[li] = MOMENTUM * vel_alpha[li] + grads.alpha[li]
-                vel_raw[li] = MOMENTUM * vel_raw[li] + grads.raw_thresholds[li]
-                vel_kernel[li] = MOMENTUM * vel_kernel[li] + grads.kernel[li]
-                new_layers.append(LayerParams(
-                    layer.alpha - lr * vel_alpha[li],
-                    layer.raw_thresholds - lr * vel_raw[li],
-                    layer.kernel - lr * vel_kernel[li],
-                    layer.family))
+            vel = [tuple(MOMENTUM * v + g for v, g in zip(vs, gs))
+                   for vs, gs in zip(vel, grads)]
             net = constrain_params(NetworkParams(
-                new_layers, eps=net.eps, patch=net.patch, channels=net.channels))
+                [LayerParams(*(p - lr * v for p, v in zip(layer.params, vs)), layer.family)
+                 for layer, vs in zip(net.layers, vel)],
+                eps=net.eps, patch=net.patch, channels=net.channels))
         epoch_loss /= steps
         cert = contraction_certificate(net)
         val_psnr = float("nan")

@@ -113,6 +113,24 @@ def test_denoise_stride_violation_exits_2(tmp_path, capsys, toy_weights):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    ([], "error: pass --weights FILE or --identity"),
+    (["--weights", "WEIGHTS", "--stride", "0"],
+     "error: patch and stride must be positive, got 32, 0"),
+], ids=["no_denoiser", "stride_0"])
+def test_denoise_bad_denoiser_flags_exit_2(tmp_path, capsys, toy_weights, flags,
+                                           message):
+    src = tmp_path / "x.raw"
+    write_image(src, np.zeros((1, 32, 32)))
+    flags = [toy_weights[0] if f == "WEIGHTS" else f for f in flags]
+    code, out, err = run(["denoise", "--in", str(src), "--out",
+                          str(tmp_path / "y.raw"), *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == message
+    assert not (tmp_path / "y.raw").exists()
+
+
 def test_denoise_corrupt_weights_exits_3(tmp_path, capsys):
     wpath = tmp_path / "bad.ctrx"
     net = init_network(depth=2, patch=8, channels=1, seed=4)
@@ -530,6 +548,28 @@ def test_perturb_zero_delta_reports_nan(tmp_path, capsys):
     assert kv(out)["ratio"] == "nan"
 
 
+def test_perturb_ref_reports_what_metrics_reports(tmp_path, capsys):
+    # with the identity denoiser the two outputs are the input and the
+    # perturbed input, so each PSNR is the metrics command's for that pair
+    rng = np.random.default_rng(11)
+    ref = rng.random((1, 16, 16))
+    x = ref + 0.05 * rng.standard_normal(ref.shape)
+    src, perturbed, clean = tmp_path / "x.raw", tmp_path / "p.raw", tmp_path / "ref.raw"
+    write_image(src, x)
+    write_image(perturbed, (1.0 + 0.1) * x)
+    write_image(clean, ref)
+    code, out, _ = run(["perturb", "--in", str(src), "--perturb", "scale:0.1",
+                        "--identity", "--ref", str(clean)], capsys)
+    assert code == 0
+    stats = kv(out)
+    for key, image in (("psnr_base", src), ("psnr_perturbed", perturbed)):
+        code, metrics_out, _ = run(["metrics", "--a", str(image), "--b", str(clean)],
+                                   capsys)
+        assert code == 0
+        assert stats[key] == kv(metrics_out)["psnr"]
+    assert float(stats["psnr_base"]) > float(stats["psnr_perturbed"])
+
+
 @pytest.mark.parametrize("spec", ["awgn:abc", "awgn:nan", "scale:nan",
                                   "scale:inf", "scale:-inf", "awgn:", "blur:3"])
 def test_perturb_rejects_bad_specs_with_exit_2(tmp_path, capsys, spec):
@@ -656,6 +696,19 @@ def test_train_rejects_images_with_other_channel_counts(tmp_path, capsys):
                         "--seed", "0"], capsys)
     assert code == 2
     assert "error: b_color.ppm has 3 channels, --channels says 1" in err
+    assert not wpath.exists()
+
+
+def test_train_data_without_images_exits_2(tmp_path, capsys):
+    datadir = tmp_path / "data"
+    datadir.mkdir()
+    (datadir / "notes.txt").write_text("no image here")
+    wpath = tmp_path / "w.ctrx"
+    code, out, err = run(["train", "--out", str(wpath), "--data", str(datadir),
+                          "--depth", "1", "--patch", "16", "--epochs", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no PNM or raw images found in {datadir}\n"
     assert not wpath.exists()
 
 

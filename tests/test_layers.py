@@ -219,10 +219,9 @@ def test_run_chunks_cuts_like_array_split_and_scatters_in_order():
         gathered.append((lo, hi))
         return y[lo:hi], None
 
-    def scatter(lo, hi, out):
+    for lo, hi, out in run_chunks(net, y.shape, gather):
         scattered.append((lo, hi, threading.current_thread()))
         assert np.array_equal(out, network_forward(y[lo:hi], net))
-    run_chunks(net, y.shape, gather, scatter)
     want = [(int(part[0]), int(part[-1]) + 1)
             for part in np.array_split(np.arange(81), 6)]   # 6 chunks of 81
     assert sorted(gathered) == want

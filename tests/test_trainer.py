@@ -49,10 +49,11 @@ def test_backward_zero_residual_gives_zero_grads():
     pred = network_forward(y, net)
     loss, grads = backward(net, y, pred)
     assert loss == 0.0
-    for li in range(net.depth):
-        assert grads.alpha[li] == 0.0
-        np.testing.assert_array_equal(grads.raw_thresholds[li], 0.0)
-        np.testing.assert_array_equal(grads.kernel[li], 0.0)
+    assert len(grads) == net.depth
+    for alpha_grad, raw_grad, kernel_grad in grads:
+        assert alpha_grad == 0.0
+        np.testing.assert_array_equal(raw_grad, 0.0)
+        np.testing.assert_array_equal(kernel_grad, 0.0)
 
 
 def test_backward_matches_network_forward_loss():
@@ -105,7 +106,7 @@ def test_grad_check_ll_only_path():
     y = rng.random((1, 1, 8, 8))
     target = rng.random((1, 1, 8, 8))
     _, grads = backward(net, y, target)
-    assert np.any(grads.kernel[0] != 0.0)
+    assert np.any(grads[0][2] != 0.0)
     report = grad_check(net, y, target, step=1e-6, tol=1e-4)
     assert report.max_rel_error <= 1e-4
 
@@ -122,6 +123,71 @@ def test_grad_check_many_random_configs():
         report = grad_check(net, y, target, step=1e-6, tol=1e-4,
                             seed=trial)
         assert report.max_rel_error <= 1e-4
+
+
+def test_grad_check_failure_names_the_parameter_of_its_worst_coordinate():
+    net = init_network(depth=2, patch=8, channels=1, seed=4)
+    rng = np.random.default_rng(5)
+    y = rng.random((2, 1, 8, 8))
+    target = rng.random((2, 1, 8, 8))
+    report = grad_check(net, y, target, step=1e-6, tol=1e-4)
+    li, kind, coord = report.worst_coordinate
+    assert kind in ("alpha", "raw", "kernel")
+    with pytest.raises(TrainingFailureError) as exc:
+        grad_check(net, y, target, step=1e-6, tol=0)
+    assert str(exc.value) == (f"gradient check failed: rel error "
+                              f"{report.max_rel_error:.3e} at {(li, kind, coord)}")
+
+
+def test_grad_check_skips_the_coordinates_whose_masks_flip():
+    # a coarse step moves coefficients across their thresholds; those
+    # coordinates are counted as kinks and not checked. Per layer: alpha,
+    # 4 thresholds and 6 kernel taps
+    net = init_network(depth=3, patch=8, channels=1, seed=4)
+    rng = np.random.default_rng(5)
+    y = rng.random((3, 1, 8, 8))
+    target = rng.random((3, 1, 8, 8))
+    fine = grad_check(net, y, target, step=1e-6, tol=1e-4)
+    assert (fine.checked, fine.skipped_kinks) == (33, 0)
+    coarse = grad_check(net, y, target, step=0.05, tol=1.0)
+    assert coarse.skipped_kinks > 0
+    assert coarse.checked + coarse.skipped_kinks == 33
+
+
+def _diverging_backward(monkeypatch, losses):
+    """Make ``backward`` return zero gradients and the next of ``losses``;
+    returns the list of the losses it returned."""
+    returned = []
+
+    def fake(net, y, target):
+        returned.append(losses[len(returned)])
+        return returned[-1], [tuple(np.zeros_like(np.asarray(p)) for p in layer.params)
+                              for layer in net.layers]
+    monkeypatch.setattr(ctrx.trainer, "backward", fake)
+    return returned
+
+
+@pytest.mark.parametrize("losses, diverges_at", [
+    ([1.0, 20.0, 20.0], None),                     # two bad epochs pass
+    ([1.0, 20.0, 20.0, 20.0, 1.0], 4),             # the third one raises
+    ([1.0, 20.0, 20.0, 1.0, 20.0, 20.0], None),    # a good epoch resets the count
+    ([1.0, 20.0, 20.0, 1.0, 20.0, 20.0, 20.0], 7),
+    ([1.0, 10.0, 10.0, 10.0], None),               # 10x the first is not bad
+])
+def test_train_raises_on_the_third_consecutive_diverged_epoch(monkeypatch, losses,
+                                                             diverges_at):
+    net = init_network(depth=1, patch=8, channels=1, seed=9)
+    data = synth_patches(8, 8, seed=2)   # one batch, so one step per epoch
+    cfg = TrainConfig(lr=0.01, epochs=len(losses), batch_size=8)
+    returned = _diverging_backward(monkeypatch, losses)
+    if diverges_at is None:
+        _, curve = train(net, data, cfg)
+        assert [e.train_loss for e in curve] == losses
+        return
+    with pytest.raises(TrainingFailureError,
+                       match=r"^loss diverged: 2\.000e\+01 vs initial 1\.000e\+00$"):
+        train(net, data, cfg)
+    assert returned == losses[:diverges_at]
 
 
 def test_synth_patches_deterministic_in_range():
