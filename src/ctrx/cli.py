@@ -67,6 +67,11 @@ def _denoiser_for(args, shape):
     image channel by channel.
     """
     if args.identity:
+        # no patch plan is made to check these flags, so they are checked here
+        if args.stride is not None and args.stride < 1:
+            raise ValidationError(f"stride must be positive, got {args.stride}")
+        if not 0.0 <= args.taper <= 1.0:
+            raise ValidationError(f"taper must be in [0, 1], got {args.taper}")
         _emit("certificate", 1.0)
         return (lambda img: img), 1.0
     if not args.weights:

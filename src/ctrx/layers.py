@@ -25,7 +25,7 @@ of the filter bank, built from the kernel's ``tensorops.kernel_spectrum``
 at the four aliases of that frequency, one layer at a time by
 :func:`_transfer`). The ll band is never thresholded, so it stays a
 spectrum from layer to layer; only the three detail bands pass through
-``irfft2``/``rfft2`` around the threshold.
+``tensorops.irfft2``/``rfft2`` around the threshold.
 The last layer's target is ``wavelets.POLYPHASE``, the polyphase split of
 the output image, which :func:`polyphase_image` undoes. Every
 forward runs the constants of :func:`forward_steps` with :func:`run_network`;
@@ -55,11 +55,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
 from .errors import CertificateError, DimensionError, ValidationError
 from .tensorops import (NORM_GUARD, as_image, as_kernel, conv_operator_norm,
-                        kernel_spectrum)
+                        irfft2, kernel_spectrum, rfft2)
 from . import wavelets
 from .wavelets import FAMILY_CYCLE, POLYPHASE, WaveletFamily, dwt2, get_family, shrink
 
@@ -76,6 +75,13 @@ KERNEL_NOISE = 0.05
 def softplus(raw):
     """Strictly positive reparameterization, floored at the smallest normal."""
     return np.maximum(np.logaddexp(0.0, raw), np.finfo(np.float64).tiny)
+
+
+def sigmoid(raw):
+    """Softplus's derivative, ``1 / (1 + exp(-raw))``. Below raw = -709.78
+    ``exp`` overflows to inf, quietly, and the value is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-raw))
 
 
 def softplus_inverse(value):
@@ -255,7 +261,7 @@ def wavelet_state(x, fam):
     (3C, B, H/2, W/2)."""
     bands = band_layout(dwt2(x, fam))
     c = len(bands) // 4
-    return fft.rfft2(bands[:c]), bands[c:]
+    return rfft2(bands[:c]), bands[c:]
 
 
 def mix(bands, transfer):
@@ -288,7 +294,7 @@ def step(ll, det, y_state, alpha, thresholds, transfer):
     det *= 1.0 - alpha
     det += alpha * y_det
     kept = shrink(det, thresholds, out=det)
-    w = ((1.0 - alpha) * ll + alpha * y_ll, fft.rfft2(kept))
+    w = ((1.0 - alpha) * ll + alpha * y_ll, rfft2(kept))
     return mix([*w[0], *w[1]], transfer), (kept, w)
 
 
@@ -316,14 +322,14 @@ def run_network(y, steps, x0=None, tapes=None):
         del tape, det
         if i + 1 < len(steps):
             ll = spec[:c].copy()
-            det = fft.irfft2(spec[c:], s=(half_h, half_w))
+            det = irfft2(spec[c:], (half_h, half_w))
             del spec
     return polyphase_image(spec, half_h, half_w), y_states
 
 
 def polyphase_image(spec, half_h, half_w):
     """Polyphase spectrum (4C, B, h, w/2 + 1) to (B, C, 2h, 2w) images."""
-    x = fft.irfft2(spec, s=(half_h, half_w))
+    x = irfft2(spec, (half_h, half_w))
     c, b = x.shape[0] // 4, x.shape[1]
     x = x.reshape(2, 2, c, b, half_h, half_w).transpose(3, 2, 4, 0, 5, 1)
     return x.reshape(b, c, 2 * half_h, 2 * half_w)

@@ -26,12 +26,11 @@ raises DivergenceError, its trace's ``final`` the last finite iterate.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
 from .errors import DimensionError, DivergenceError, ValidationError
 from .io import Rng, open_new
 from .metrics import psnr
-from .tensorops import as_image, kernel_spectrum
+from .tensorops import as_image, irfft2, kernel_spectrum, rfft2
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 500
@@ -79,7 +78,7 @@ def apply_forward(x, model):
         raise DimensionError(
             f"image {h}x{w} not divisible by stride {model.stride}")
     bf = model.blur_spectrum(h, w)
-    return fft.irfft2(fft.rfft2(x) * bf, s=(h, w))[..., ::model.stride, ::model.stride]
+    return irfft2(rfft2(x) * bf, (h, w))[..., ::model.stride, ::model.stride]
 
 
 def apply_adjoint(u, model, full_h, full_w):
@@ -93,7 +92,7 @@ def apply_adjoint(u, model, full_h, full_w):
     up = np.zeros(u.shape[:-2] + (full_h, full_w))
     up[..., ::s, ::s] = u
     bf = model.blur_spectrum(full_h, full_w)
-    return fft.irfft2(fft.rfft2(up) * np.conj(bf), s=(full_h, full_w))
+    return irfft2(rfft2(up) * np.conj(bf), (full_h, full_w))
 
 
 def grad_datafit(x, y, model):

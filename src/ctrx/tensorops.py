@@ -12,13 +12,15 @@ matrix multiplication agree to machine precision.
 
 Images and kernels are real, so their spectra are conjugate-symmetric:
 ``X[-u, -v] = conj(X[u, v])``. Every convolution therefore runs on the real
-half-spectrum, ``scipy.fft.rfft2`` over columns ``0 .. W//2`` and
-``irfft2`` back with the explicit grid size ``s=(H, W)`` (odd widths need
-it). The operator norm is exact on the half-spectrum too: the channel
-matrix at ``-f`` is the complex conjugate of the one at ``f``, and a
-matrix and its conjugate have the same singular values, so the half
-covers every singular value of the full grid (Sedghi, Gupta & Long, "The
-Singular Values of Convolutional Layers", ICLR 2019).
+half-spectrum, :func:`rfft2` over columns ``0 .. W//2`` and :func:`irfft2`
+back with the explicit grid size ``(H, W)`` (odd widths need it). The pair
+runs ``numpy.fft`` one axis at a time and is bitwise equal to
+``scipy.fft.rfft2``/``irfft2``, so ctrx needs nothing from scipy. The
+operator norm is exact on the half-spectrum too: the channel matrix at
+``-f`` is the complex conjugate of the one at ``f``, and a matrix and its
+conjugate have the same singular values, so the half covers every
+singular value of the full grid (Sedghi, Gupta & Long, "The Singular
+Values of Convolutional Layers", ICLR 2019).
 
 No convolution runs in space: ``ctrx.layers`` folds each layer's
 convolution, with its wavelet synthesis and the next analysis, into one
@@ -69,6 +71,27 @@ def as_kernel(k, name="kernel"):
     if not np.all(np.isfinite(k)):
         raise ValidationError(f"{name} contains non-finite values")
     return k
+
+
+def rfft2(x):
+    """Half-spectrum over the last two axes, complex (..., H, W//2 + 1):
+    ``rfft`` along the columns, then the complex FFT along the rows, in
+    place."""
+    spec = np.fft.rfft(x, axis=-1)
+    return np.fft.fft(spec, axis=-2, out=spec)
+
+
+def irfft2(spec, shape):
+    """Real (..., H, W) signals whose :func:`rfft2` is ``spec``, for
+    ``shape`` = (H, W). Both passes run unscaled (``norm="forward"`` on an
+    inverse) and one multiply by ``1 / (H W)`` follows: numpy's per-axis
+    scaling (``np.fft.irfft2``) rounds differently from ``scipy.fft.irfft2``,
+    this does not."""
+    h, w = shape
+    x = np.fft.irfft(np.fft.ifft(spec, n=h, axis=-2, norm="forward"),
+                     n=w, axis=-1, norm="forward")
+    x *= 1.0 / (h * w)
+    return x
 
 
 def tap_bases(kernel_shape, grid_h, grid_w, cols):

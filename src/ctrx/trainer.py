@@ -21,16 +21,14 @@ step, so the contraction certificate holds at every point of training.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
-from scipy.special import expit
 
 from .errors import DimensionError, TrainingFailureError, ValidationError
 from .io import Rng, add_awgn, open_new
 from .layers import (LayerParams, NetworkParams, band_layout, constrain_params,
                      contraction_certificate, forward_steps, gain_denominator,
-                     network_forward, run_network)
+                     network_forward, run_network, sigmoid)
 from .metrics import psnr
-from .tensorops import tap_bases
+from .tensorops import irfft2, rfft2, tap_bases
 from .wavelets import POLYPHASE, alias_columns, band_aliases, dwt2
 
 
@@ -168,7 +166,7 @@ def backward(net, y, target):
     p, c = net.patch, net.channels
     half = p // 2
     # the gradient at the output, as the spectrum of its polyphase split
-    gf = fft.rfft2(band_layout(dwt2(g, POLYPHASE)))
+    gf = rfft2(band_layout(dwt2(g, POLYPHASE)))
     grads = [None] * net.depth
     for idx in range(net.depth - 1, -1, -1):
         layer = net.layers[idx]
@@ -182,14 +180,14 @@ def backward(net, y, target):
         kernel_grad = _kernel_gradient(w, gf, scale, fam, target, layer.kernel.shape, p)
         # kept = sign(z) * max(|z| - lambda, 0) is nonzero exactly where
         # |z| > lambda; there d kept/dz = 1 and d kept/d lambda = -sign(kept)
-        g_det = fft.irfft2(gw[c:], s=(half, half)) * (kept != 0)
+        g_det = irfft2(gw[c:], (half, half)) * (kept != 0)
         lam_grad = -np.sum(np.sign(kept) * g_det, axis=1)
-        raw_grad = lam_grad.reshape(layer.raw_thresholds.shape) * expit(layer.raw_thresholds)
+        raw_grad = lam_grad.reshape(layer.raw_thresholds.shape) * sigmoid(layer.raw_thresholds)
         y_ll, y_det = y_states[fam.name]
         alpha_grad += (_spectral_dot(gw[:c], y_ll - ll_in, half)
                        + float(np.sum(g_det * (y_det - det_in))))
         if idx:
-            gf = (1.0 - layer.alpha) * np.concatenate((gw[:c], fft.rfft2(g_det)))
+            gf = (1.0 - layer.alpha) * np.concatenate((gw[:c], rfft2(g_det)))
         grads[idx] = (alpha_grad, raw_grad, kernel_grad)
         if not np.isfinite(alpha_grad) or not np.all(np.isfinite(kernel_grad)):
             raise TrainingFailureError(f"non-finite gradient at layer {idx}")

@@ -131,6 +131,31 @@ def test_denoise_bad_denoiser_flags_exit_2(tmp_path, capsys, toy_weights, flags,
     assert not (tmp_path / "y.raw").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["denoise", "--out", "{out}"],
+    ["restore", "--out", "{out}", "--task", "deblur", "--allow-expansive"],
+    ["perturb", "--perturb", "awgn:10"],
+], ids=["denoise", "restore", "perturb"])
+@pytest.mark.parametrize("flags, message", [
+    (["--stride", "0"], "error: stride must be positive, got 0"),
+    (["--stride", "-3"], "error: stride must be positive, got -3"),
+    (["--taper", "5"], "error: taper must be in [0, 1], got 5.0"),
+    (["--taper", "nan"], "error: taper must be in [0, 1], got nan"),
+], ids=["stride_0", "stride_-3", "taper_5", "taper_nan"])
+def test_identity_checks_the_patch_flags_exit_2(tmp_path, capsys, command,
+                                                flags, message):
+    # the identity denoiser makes no patch plan, yet its flags are checked
+    src = tmp_path / "x.raw"
+    write_image(src, np.zeros((1, 32, 32)))
+    command = [arg.format(out=tmp_path / "y.raw") for arg in command]
+    code, out, err = run([command[0], "--in", str(src), *command[1:],
+                          "--identity", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == message
+    assert not (tmp_path / "y.raw").exists()
+
+
 def test_denoise_corrupt_weights_exits_3(tmp_path, capsys):
     wpath = tmp_path / "bad.ctrx"
     net = init_network(depth=2, patch=8, channels=1, seed=4)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft
+from scipy.special import expit
 
 import ctrx.layers
 from ctrx.errors import DimensionError, ValidationError
 from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, band_layout,
                          constrain_params, contraction_certificate, forward_steps,
                          gain_denominator, init_network, network_forward,
-                         polyphase_image, run_chunks, run_network, softplus,
-                         softplus_inverse)
+                         polyphase_image, run_chunks, run_network, sigmoid,
+                         softplus, softplus_inverse)
 from ctrx.tensorops import NORM_GUARD, conv_operator_norm
 from ctrx.trainer import backward, loss_mse
 from ctrx.wavelets import FAMILY_CYCLE, POLYPHASE, dwt2, get_family, shrink
@@ -67,6 +68,20 @@ def test_softplus_positive_and_invertible():
     assert np.all(lam > 0)
     vals = np.array([1e-6, 0.05, 1.0, 20.0])
     np.testing.assert_allclose(softplus(softplus_inverse(vals)), vals, rtol=1e-12)
+
+
+def test_sigmoid_is_scipys_expit_within_four_ulp():
+    raw = np.linspace(-40.0, 40.0, 160001)
+    ref = expit(raw)
+    # numpy's exp is not the C library's, which expit calls
+    assert np.max(np.abs(sigmoid(raw) - ref) / np.spacing(ref)) <= 4
+
+
+def test_sigmoid_is_finite_and_quiet_at_the_extremes():
+    # a RuntimeWarning is an error in this suite
+    raw = np.array([-1e308, -745.0, 745.0, 1e308])
+    np.testing.assert_array_equal(sigmoid(raw), expit(raw))
+    np.testing.assert_array_equal(sigmoid(raw), [0.0, 0.0, 1.0, 1.0])
 
 
 def test_prox_layer_alpha_near_one_ignores_state():

@@ -2,15 +2,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from ctrx.errors import DimensionError, ValidationError
-from ctrx.tensorops import conv_operator_norm, kernel_spectrum
+from ctrx.tensorops import conv_operator_norm, irfft2, kernel_spectrum, rfft2
 from oracles import (SizeGuardError, _dense_matrix, conv2d_circular, dense_norm_oracle,
                      padded_fft_spectrum)
 
 
 def identity_kernel(weight=1.0):
     return np.array(weight, dtype=np.float64).reshape(1, 1, 1, 1)
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+# the workloads' shapes (restore_sr, train_rgb, denoise chunks), odd and
+# non-power-of-two grids, and 1-pixel axes
+FFT_SHAPES = [(3, 25, 16, 16), (1, 64, 64), (9, 16, 16, 16), (12, 20, 16, 16),
+              (3, 14, 32, 32), (1, 7, 5), (3, 17, 33), (2, 5, 63), (3, 100, 75),
+              (1, 63, 64), (1, 48, 80), (1, 50, 70), (4, 1, 9), (2, 9, 1),
+              (1, 1, 1)]
+
+
+@pytest.mark.parametrize("shape", FFT_SHAPES, ids=str)
+def test_fft_pair_is_bitwise_scipys(shape):
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    grid = shape[-2:]
+    # contiguous, reversed-stride and column-major inputs
+    for view in (x, x[..., ::-1, ::-1], np.asfortranarray(x)):
+        spec = fft.rfft2(view)
+        assert same_bits(rfft2(view), spec)
+        for s in (spec, spec[..., ::-1, :], np.asfortranarray(spec)):
+            assert same_bits(irfft2(s, grid), fft.irfft2(s, s=grid))
 
 
 def test_conv_identity_kernel():
