@@ -1,4 +1,4 @@
-"""Contractive denoiser layers, the depth-M network, and its certificate.
+"""Contractive layers, the depth-M network, its certificate and its backward.
 
 One layer blends the fixed observation into the running state (gradient step
 on the quadratic data term), soft-thresholds the high-frequency wavelet
@@ -13,40 +13,38 @@ and the depth-M composition contracts by the product of the per-layer
 bounds. That product is computed exactly (kernel spectrum + per-frequency
 SVD), making the certificate a checkable artifact rather than an estimate.
 
-The layers run in the wavelet domain. The state of a patch is the four
-wavelet bands of the next layer's family, (4C, P/2, P/2), band-major. The
-blend is linear, so it runs on the bands against the observation's bands,
-which :func:`wavelet_state` computes once per family with the dense
-``dwt2``; those products are the only place a forward runs the dense
-wavelet matrices. A layer's synthesis, convolution and the next family's analysis are
-all circular and shift invariant by two, so together they are one 4C x 4C
-matrix per frequency of the half grid's half-spectrum (the polyphase form
-of the filter bank, built from the kernel's ``tensorops.kernel_spectrum``
-at the four aliases of that frequency, one layer at a time by
-:func:`_transfer`). The ll band is never thresholded, so it stays a
-spectrum from layer to layer; only the three detail bands pass through
-``tensorops.irfft2``/``rfft2`` around the threshold.
-The last layer's target is ``wavelets.POLYPHASE``, the polyphase split of
-the output image, which :func:`polyphase_image` undoes. Every
-forward runs the constants of :func:`forward_steps` with :func:`run_network`;
-:meth:`NetworkParams.steps` keeps the network's own, on its patch grid.
+The layers run in the wavelet domain (README, "The wavelet-domain layer").
+The state of a patch is the four wavelet bands of the next layer's family,
+(4C, P/2, P/2), band-major; the blend runs on the bands against the
+observation's, which :func:`wavelet_state` computes once per family, and
+only the detail bands leave the spectrum, around the threshold. A layer's
+synthesis, convolution and the next family's analysis are circular and shift
+invariant by two, so together they are one 4C x 4C matrix per frequency of
+the half grid's half-spectrum, the polyphase form of the filter bank
+(:func:`_transfer`). The last layer's target is ``wavelets.POLYPHASE``, the
+polyphase split of the output image (:func:`polyphase_split`), which
+:func:`polyphase_image` undoes. Every forward runs the constants of
+:func:`forward_steps` with :func:`run_network`; :meth:`NetworkParams.steps`
+keeps the network's own.
 
-:func:`run_chunks` is the one chunk runner. It cuts the flat entries of a
-batch as ``np.array_split`` would into ``ceil(nbytes / CHUNK_BYTES)``
-chunks (at most one per patch), so every layer's temporaries stay
-cache-sized. A caller's ``gather`` makes each chunk's input, and the
-runner yields each output on the calling thread in chunk order, so the
-batch need not exist as one array: ``inference.patch_denoise`` reads
-patches from the image and adds outputs into the blend, and
-:func:`network_forward` slices one batch and fills one output array. A
-batch of one chunk runs inline; more run on a thread pool of
-``min(chunks, CPUs available)`` workers (``os.cpu_count()`` where the
-platform cannot say which are available). Every stage (the dense
+The backward, :func:`network_vjp`, runs that forward keeping every tape
+and goes back through the same steps on the same spectra: each transfer by
+its conjugate transpose at every frequency, the blend by its scalars, and
+the kernel gradient as the correlation of the conv's input and output
+gradient on the four aliases of each frequency, evaluated at the taps. The
+soft threshold uses the subgradient ``1{|z| > lambda}`` on coefficient
+paths and ``-sign(z)`` inside the active set for the threshold parameters.
+The convolution normalizer ``s(K) + NORM_GUARD`` is held constant during
+differentiation (the projection step re-imposes the norm constraint
+anyway), so gradients are exact up to that straight-through choice, which
+the finite-difference checker accounts for.
+
+:func:`run_chunks` is the one chunk runner; it cuts a batch into chunks of
+about ``CHUNK_BYTES`` that run on a thread pool. Every stage (the dense
 analysis, FFTs over the last two axes, ufuncs, and the per-frequency mix,
-one complex multiply-add per matrix entry rather than a BLAS product,
-whose rounding may depend on the number of rows) computes each patch on
-its own, so the output is bitwise equal to the forward of the whole batch
-at once.
+one complex multiply-add per matrix entry rather than a BLAS product, whose
+rounding may depend on the number of rows) computes each patch on its own,
+so the output is bitwise equal to the forward of the whole batch at once.
 """
 
 import math
@@ -56,10 +54,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateError, DimensionError, ValidationError
+from .errors import CertificateError, DimensionError, TrainingFailureError, ValidationError
 from .tensorops import (NORM_GUARD, as_image, as_kernel, conv_operator_norm,
                         irfft2, kernel_spectrum, rfft2)
-from . import wavelets
+from . import tensorops, wavelets
 from .wavelets import FAMILY_CYCLE, POLYPHASE, WaveletFamily, dwt2, get_family, shrink
 
 ALPHA_MIN = 1e-3
@@ -335,6 +333,114 @@ def polyphase_image(spec, half_h, half_w):
     return x.reshape(b, c, 2 * half_h, 2 * half_w)
 
 
+def polyphase_split(x):
+    """(B, C, 2h, 2w) images to their polyphase split (4C, B, h, w): exactly
+    ``band_layout(dwt2(x, POLYPHASE))``, whose 0/1 matrices only permute."""
+    b, c, h, w = x.shape
+    x = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(3, 5, 1, 0, 2, 4)
+    return x.reshape(4 * c, b, h // 2, w // 2)
+
+
+def _rfft_weights(n):
+    """Weight of each ``rfft`` column of a length-n axis in a sum over the
+    full spectrum: 1 for the columns that are their own conjugate (0, and
+    n/2 for even n), 2 for the others."""
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[-1] = 1.0
+    return weight
+
+
+def _spectral_dot(a, b, n):
+    """Inner product of the real signals on an n x n grid whose spectra over
+    the last two axes (``rfft2``) are ``a`` and ``b``, by Parseval. A ufunc
+    sum rather than ``np.vdot``, whose BLAS rounding depends on the thread
+    count."""
+    return float(np.sum((np.conj(a) * b).real * _rfft_weights(n))) / (n * n)
+
+
+def _adjoint(g, transfer):
+    """``out[s] = sum_r conj(transfer[s, r]) * g[r]`` at every frequency: the
+    transfer's conjugate transpose, as one batched product over the
+    frequencies. Unlike the forward's :func:`mix`, its rounding may depend
+    on the batch size, which a batch-summed gradient does not need."""
+    n = g[0, 0].size
+    gm = g.reshape(g.shape[:2] + (n,)).transpose(2, 1, 0)
+    tm = np.conj(transfer.reshape(transfer.shape[:2] + (n,)).transpose(2, 1, 0))
+    return np.matmul(gm, tm).transpose(2, 1, 0).reshape((tm.shape[2],) + g.shape[1:])
+
+
+def _kernel_gradient(w, gout, scale, fam, target, kshape, grid):
+    """d loss / d kernel of one layer, batch-summed, from its spectra.
+
+    ``w`` is the spectrum of the layer's shrunk bands and ``gout`` that of
+    the loss gradient at its output, both (4C, B, h, h/2 + 1). The conv
+    input ``u`` (synthesis by ``fam``) and the gradient ``gv`` at the conv
+    output (``scale`` times the synthesis by ``target``) are formed on the
+    four aliases of the full grid, and their correlation is evaluated at
+    the kernel taps: ``sum_n gv[o, n] u[i, n - t]``, by Parseval on the
+    full grid.
+    """
+    c, half = w.shape[0] // 4, w.shape[2]
+    n = w[0, 0].size
+
+    def aliases(spec, f):
+        # (frequency, alias, channel, batch)
+        m = wavelets.band_aliases(f, grid, grid).reshape(4, 4, n).transpose(2, 0, 1)
+        x = spec.reshape(4, -1, n).transpose(2, 0, 1)
+        return np.matmul(m, x).reshape(n, 4, c, -1)
+    u = aliases(w, fam)
+    gv = aliases(gout, target) * scale
+    # every frequency of the half-spectrum stands for its conjugate too
+    corr = np.matmul(gv, np.conj(u).swapaxes(-1, -2)).transpose(2, 3, 1, 0)
+    corr = corr.reshape(c, c, 2, 2, half, -1) * _rfft_weights(half)
+    corr = corr.transpose(0, 1, 2, 4, 3, 5).reshape(c, c, grid, -1)
+    rows, cols = tensorops.tap_bases(kshape, grid, grid, wavelets.alias_columns(grid))
+    return (np.conj(rows).T @ corr @ np.conj(cols)).real / (grid * grid)
+
+
+def network_vjp(net, y):
+    """``(pred, vjp)``: the network's output on a batch (B, C, P, P), and
+    ``vjp(g)``, which takes the loss gradient at ``pred`` to one batch-summed
+    gradient tuple per layer, shaped as ``LayerParams.params``. A non-finite
+    alpha or kernel gradient raises TrainingFailureError."""
+    steps = net.steps()
+    tapes = []
+    pred, y_states = run_network(y, steps, tapes=tapes)
+
+    def vjp(g):
+        p, c = net.patch, net.channels
+        half = p // 2
+        gf = rfft2(polyphase_split(g))
+        grads = [None] * net.depth
+        for idx in range(net.depth - 1, -1, -1):
+            layer = net.layers[idx]
+            fam, target, _, scale, _, transfer = steps[idx]
+            ll_in, det_in, kept, w = tapes[idx]
+            w = np.concatenate(w)
+            denom = gain_denominator(layer.alpha, net.eps)
+            gw = _adjoint(gf, transfer)
+            # out = scale * ...; alpha enters through denom, d denom/d alpha = -1
+            alpha_grad = _spectral_dot(gw, w, half) / denom
+            kernel_grad = _kernel_gradient(w, gf, scale, fam, target, layer.kernel.shape, p)
+            # kept = sign(z) * max(|z| - lambda, 0) is nonzero exactly where
+            # |z| > lambda; there d kept/dz = 1 and d kept/d lambda = -sign(kept)
+            g_det = irfft2(gw[c:], (half, half)) * (kept != 0)
+            lam_grad = -np.sum(np.sign(kept) * g_det, axis=1)
+            raw_grad = lam_grad.reshape(layer.raw_thresholds.shape) * sigmoid(layer.raw_thresholds)
+            y_ll, y_det = y_states[fam.name]
+            alpha_grad += (_spectral_dot(gw[:c], y_ll - ll_in, half)
+                           + float(np.sum(g_det * (y_det - det_in))))
+            if idx:
+                gf = (1.0 - layer.alpha) * np.concatenate((gw[:c], rfft2(g_det)))
+            grads[idx] = (alpha_grad, raw_grad, kernel_grad)
+            if not np.isfinite(alpha_grad) or not np.all(np.isfinite(kernel_grad)):
+                raise TrainingFailureError(f"non-finite gradient at layer {idx}")
+        return grads
+    return pred, vjp
+
+
 def run_chunks(net, shape, gather):
     """The one chunk runner of the network on a batch of ``shape`` (..., C,
     P, P), which need not exist as one array; a generator of ``(lo, hi,
@@ -387,10 +493,8 @@ def network_forward(y, net, x0=None):
     what the contraction guarantee quantifies: two runs with the same ``y``
     but different ``x0`` approach each other by the certificate's total bound.
 
-    The layers run in the wavelet domain (:func:`step`): the observation is
-    analysed once per family, the state once at the start, and the output
-    is the last step's polyphase split. The chunks that :func:`run_chunks`
-    yields fill one result array; it is bitwise equal to the unsplit forward.
+    The chunks that :func:`run_chunks` yields fill one result array; it is
+    bitwise equal to the unsplit forward.
     """
     y = as_image(y)
     if x0 is not None:

@@ -142,7 +142,7 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
         alpha_step: Gradient step size (finite, > 0).
         max_iters, tol: Iteration cap and relative stopping tolerance.
         ref: Optional clean reference; records per-iteration PSNR.
-        x0: Optional start; defaults to ``A^T y``.
+        x0: Optional start (C, H, W); defaults to ``A^T y``.
 
     Returns:
         PnPTrace whose ``final`` is the last iterate.
@@ -157,6 +157,8 @@ def pnp_fbs(y, model, denoiser, alpha_step, max_iters=DEFAULT_MAX_ITERS,
     full_h = y.shape[-2] * model.stride
     full_w = y.shape[-1] * model.stride
     x = apply_adjoint(y, model, full_h, full_w) if x0 is None else as_image(x0).copy()
+    if x.shape != y.shape[:-2] + (full_h, full_w):
+        raise DimensionError(f"x0 shape {x.shape} must be {y.shape[:-2] + (full_h, full_w)}")
     r = apply_forward(x, model) - y   # A x - y, carried from the trace to the step
     trace = PnPTrace()
     for _ in range(max_iters):

@@ -6,7 +6,7 @@ arrays of shape ``(c_out, c_in, k_h, k_w)`` with odd spatial extents.
 Convention: true convolution under periodic boundary, with the kernel's
 center tap ``(k_h//2, k_w//2)`` sitting at the spatial origin. Every kernel
 spectrum in ctrx is :func:`kernel_spectrum`, the DFT of the taps at those
-offsets on any set of columns (the trainer's kernel gradient is the adjoint
+offsets on any set of columns (the layers' kernel gradient is the adjoint
 of its :func:`tap_bases`); this makes spatial convolution and per-frequency
 matrix multiplication agree to machine precision.
 

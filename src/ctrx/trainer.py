@@ -1,22 +1,7 @@
-"""Projected gradient training with analytic backprop through every layer.
-
-The loss is mean squared error between the network output and the clean
-target. The forward is inference's: :func:`ctrx.layers.run_network` on the
-network's step table, ``net.steps()``, keeping every tape. The backward
-runs through the same steps on the same spectra: each transfer by its
-conjugate transpose at every frequency, the blend by its scalars, and the
-kernel gradient as the correlation of the conv's input and output gradient
-on the four aliases of each frequency, evaluated at the taps. The soft
-threshold uses the subgradient ``1{|z| > lambda}`` on coefficient paths and
-``-sign(z)`` inside the active set for the threshold parameters. The
-convolution normalizer ``s(K) + NORM_GUARD`` is held constant during
-differentiation (the projection step re-imposes the norm constraint
-anyway), so gradients are exact up to that straight-through choice, which
-the finite-difference checker accounts for.
-
-Optimization is SGD with momentum plus the constraint projection after every
-step, so the contraction certificate holds at every point of training.
-"""
+"""Projected gradient training: SGD with momentum on the mean squared error
+of the network output, with the gradients of :func:`ctrx.layers.network_vjp`
+and the constraint projection after every step, so the contraction
+certificate holds at every point of training."""
 
 from dataclasses import dataclass
 
@@ -24,12 +9,10 @@ import numpy as np
 
 from .errors import DimensionError, TrainingFailureError, ValidationError
 from .io import Rng, add_awgn, open_new
-from .layers import (LayerParams, NetworkParams, band_layout, constrain_params,
-                     contraction_certificate, forward_steps, gain_denominator,
-                     network_forward, run_network, sigmoid)
+from .layers import (LayerParams, NetworkParams, constrain_params,
+                     contraction_certificate, forward_steps, network_forward,
+                     network_vjp, run_network)
 from .metrics import psnr
-from .tensorops import irfft2, rfft2, tap_bases
-from .wavelets import POLYPHASE, alias_columns, band_aliases, dwt2
 
 
 DECAY_FACTOR = 0.1
@@ -66,65 +49,6 @@ def loss_mse(pred, target):
     return float(np.mean((pred - target) ** 2))
 
 
-def _rfft_weights(n):
-    """Weight of each ``rfft`` column of a length-n axis in a sum over the
-    full spectrum: 1 for the columns that are their own conjugate (0, and
-    n/2 for even n), 2 for the others."""
-    weight = np.full(n // 2 + 1, 2.0)
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[-1] = 1.0
-    return weight
-
-
-def _spectral_dot(a, b, n):
-    """Inner product of the real signals on an n x n grid whose spectra over
-    the last two axes (``rfft2``) are ``a`` and ``b``, by Parseval. A ufunc
-    sum rather than ``np.vdot``, whose BLAS rounding depends on the thread
-    count."""
-    return float(np.sum((np.conj(a) * b).real * _rfft_weights(n))) / (n * n)
-
-
-def _adjoint(g, transfer):
-    """``out[s] = sum_r conj(transfer[s, r]) * g[r]`` at every frequency: the
-    transfer's conjugate transpose, as one batched product over the
-    frequencies. Unlike the forward's :func:`mix`, its rounding may depend
-    on the batch size, which a batch-summed gradient does not need."""
-    n = g[0, 0].size
-    gm = g.reshape(g.shape[:2] + (n,)).transpose(2, 1, 0)
-    tm = np.conj(transfer.reshape(transfer.shape[:2] + (n,)).transpose(2, 1, 0))
-    return np.matmul(gm, tm).transpose(2, 1, 0).reshape((tm.shape[2],) + g.shape[1:])
-
-
-def _kernel_gradient(w, gout, scale, fam, target, kshape, grid):
-    """d loss / d kernel of one layer, batch-summed, from its spectra.
-
-    ``w`` is the spectrum of the layer's shrunk bands and ``gout`` that of
-    the loss gradient at its output, both (4C, B, h, h/2 + 1). The conv
-    input ``u`` (synthesis by ``fam``) and the gradient ``gv`` at the conv
-    output (``scale`` times the synthesis by ``target``) are formed on the
-    four aliases of the full grid, and their correlation is evaluated at
-    the kernel taps: ``sum_n gv[o, n] u[i, n - t]``, by Parseval on the
-    full grid.
-    """
-    c, half = w.shape[0] // 4, w.shape[2]
-    n = w[0, 0].size
-
-    def aliases(spec, f):
-        # (frequency, alias, channel, batch)
-        m = band_aliases(f, grid, grid).reshape(4, 4, n).transpose(2, 0, 1)
-        x = spec.reshape(4, -1, n).transpose(2, 0, 1)
-        return np.matmul(m, x).reshape(n, 4, c, -1)
-    u = aliases(w, fam)
-    gv = aliases(gout, target) * scale
-    # every frequency of the half-spectrum stands for its conjugate too
-    corr = np.matmul(gv, np.conj(u).swapaxes(-1, -2)).transpose(2, 3, 1, 0)
-    corr = corr.reshape(c, c, 2, 2, half, -1) * _rfft_weights(half)
-    corr = corr.transpose(0, 1, 2, 4, 3, 5).reshape(c, c, grid, -1)
-    rows, cols = tap_bases(kshape, grid, grid, alias_columns(grid))
-    return (np.conj(rows).T @ corr @ np.conj(cols)).real / (grid * grid)
-
-
 def _patches(data, net, name):
     """``data`` as float64 (N, C, P, P) patches of ``net``, checked to be
     of that shape, non-empty and finite; ``name`` names it in errors."""
@@ -139,14 +63,8 @@ def _patches(data, net, name):
     return data
 
 
-def backward(net, y, target):
-    """Loss and analytic parameter gradients for a batch.
-
-    ``y`` and ``target`` are (B, C, P, P) (a single image is promoted).
-    The gradients are one tuple per layer, shaped as ``LayerParams.params``.
-    The gradient runs back through the same steps: through each transfer
-    by its conjugate transpose, per frequency, on the same spectra.
-    """
+def _batch(net, y, target):
+    """``y`` and ``target`` as the (B, C, P, P) batches :func:`backward` takes."""
     y = np.asarray(y, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if y.ndim == 3:
@@ -155,43 +73,21 @@ def backward(net, y, target):
     y = _patches(y, net, "the batch")
     if y.shape != target.shape:
         raise DimensionError(f"shapes differ: {y.shape} vs {target.shape}")
-    steps = net.steps()
-    tapes = []
-    pred, y_states = run_network(y, steps, tapes=tapes)
+    return y, target
+
+
+def backward(net, y, target):
+    """Loss and analytic parameter gradients for a batch.
+
+    ``y`` and ``target`` are (B, C, P, P) (a single image is promoted).
+    The gradients are one tuple per layer, shaped as ``LayerParams.params``.
+    """
+    y, target = _batch(net, y, target)
+    pred, vjp = network_vjp(net, y)
     if not np.all(np.isfinite(pred)):
         raise TrainingFailureError("non-finite prediction in forward pass")
     loss = loss_mse(pred, target)
-    g = 2.0 * (pred - target) / pred.size
-
-    p, c = net.patch, net.channels
-    half = p // 2
-    # the gradient at the output, as the spectrum of its polyphase split
-    gf = rfft2(band_layout(dwt2(g, POLYPHASE)))
-    grads = [None] * net.depth
-    for idx in range(net.depth - 1, -1, -1):
-        layer = net.layers[idx]
-        fam, target, _, scale, _, transfer = steps[idx]
-        ll_in, det_in, kept, w = tapes[idx]
-        w = np.concatenate(w)
-        denom = gain_denominator(layer.alpha, net.eps)
-        gw = _adjoint(gf, transfer)
-        # out = scale * ...; alpha enters through denom, d denom/d alpha = -1
-        alpha_grad = _spectral_dot(gw, w, half) / denom
-        kernel_grad = _kernel_gradient(w, gf, scale, fam, target, layer.kernel.shape, p)
-        # kept = sign(z) * max(|z| - lambda, 0) is nonzero exactly where
-        # |z| > lambda; there d kept/dz = 1 and d kept/d lambda = -sign(kept)
-        g_det = irfft2(gw[c:], (half, half)) * (kept != 0)
-        lam_grad = -np.sum(np.sign(kept) * g_det, axis=1)
-        raw_grad = lam_grad.reshape(layer.raw_thresholds.shape) * sigmoid(layer.raw_thresholds)
-        y_ll, y_det = y_states[fam.name]
-        alpha_grad += (_spectral_dot(gw[:c], y_ll - ll_in, half)
-                       + float(np.sum(g_det * (y_det - det_in))))
-        if idx:
-            gf = (1.0 - layer.alpha) * np.concatenate((gw[:c], rfft2(g_det)))
-        grads[idx] = (alpha_grad, raw_grad, kernel_grad)
-        if not np.isfinite(alpha_grad) or not np.all(np.isfinite(kernel_grad)):
-            raise TrainingFailureError(f"non-finite gradient at layer {idx}")
-    return loss, grads
+    return loss, vjp(2.0 * (pred - target) / pred.size)
 
 
 def _loss_and_masks(net, y, target, norms):
@@ -233,9 +129,7 @@ def grad_check(net, y, target, step=1e-6, tol=1e-4, seed=0):
     same frozen-normalizer objective that backward's straight-through rule
     implements, and each gives its loss and its masks in one forward pass.
     """
-    if y.ndim == 3:
-        y = y[None]
-        target = target[None]
+    y, target = _batch(net, y, target)
     _, grads = backward(net, y, target)
     base_norms = net.conv_norms()
     rng = np.random.default_rng(seed)

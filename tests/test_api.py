@@ -31,7 +31,8 @@ REMOVED = {
                "_drs_weight", "_iterate", "_ata_spectrum", "_alias_spectrum",
                "simulate"),
     ctrx.metrics: ("gaussian_window",),
-    ctrx.trainer: ("GradientSet",),
+    ctrx.trainer: ("GradientSet", "_adjoint", "_kernel_gradient", "_spectral_dot",
+                   "_rfft_weights"),
 }
 
 

@@ -14,8 +14,8 @@ from ctrx.errors import DimensionError, ValidationError
 from ctrx.layers import (ALPHA_MIN, LayerParams, NetworkParams, band_layout,
                          constrain_params, contraction_certificate, forward_steps,
                          gain_denominator, init_network, network_forward,
-                         polyphase_image, run_chunks, run_network, sigmoid,
-                         softplus, softplus_inverse)
+                         polyphase_image, polyphase_split, run_chunks, run_network,
+                         sigmoid, softplus, softplus_inverse)
 from ctrx.tensorops import NORM_GUARD, conv_operator_norm
 from ctrx.trainer import backward, loss_mse
 from ctrx.wavelets import FAMILY_CYCLE, POLYPHASE, dwt2, get_family, shrink
@@ -583,12 +583,16 @@ def test_transfer_matches_the_spatial_chain(spatial_transfer, case):
 @pytest.mark.parametrize("grid", [(4, 8), (8, 4), (2, 8)], ids=lambda g: f"{g[0]}x{g[1]}")
 def test_polyphase_image_inverts_the_polyphase_split(grid, batch, channels):
     # integer pixels on half grids of 1, 2 or 4 samples keep the FFT round
-    # trip exact, so any difference is in the layout of the split
+    # trip exact, so any difference is in the layout of the split; the
+    # backward's split by reshape is the dense polyphase analysis, bitwise
     h, w = grid
     x = np.random.default_rng(36).integers(-9, 10, (batch, channels, h, w)).astype(float)
-    spec = fft.rfft2(band_layout(dwt2(x, POLYPHASE)))
-    got = polyphase_image(spec, h // 2, w // 2)
-    assert got.shape == x.shape and got.tobytes() == x.tobytes()
+    dense = band_layout(dwt2(x, POLYPHASE))
+    split = polyphase_split(x)
+    assert split.shape == dense.shape and split.tobytes() == dense.tobytes()
+    for bands in (dense, split):
+        got = polyphase_image(fft.rfft2(bands), h // 2, w // 2)
+        assert got.shape == x.shape and got.tobytes() == x.tobytes()
 
 
 def reference_layer(x, y, layer, eps, s):

@@ -217,6 +217,19 @@ def test_fbs_identity_converges_in_one_step():
     np.testing.assert_allclose(trace.final, y, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(2, 64, 64), (1, 32, 32), (64, 64)])
+def test_fbs_rejects_a_start_off_the_full_grid(shape):
+    # y is (1, 32, 32) at stride 2, so x0 must be (1, 64, 64): a second
+    # channel used to broadcast into a 2-channel result, and y's own grid
+    # failed inside numpy
+    m = ForwardModel(delta_blur(), stride=2)
+    y = np.random.default_rng(3).random((1, 32, 32))
+    with pytest.raises(DimensionError):
+        pnp_fbs(y, m, lambda z: z, 1.0, max_iters=3, x0=np.zeros(shape))
+    trace = pnp_fbs(y, m, lambda z: z, 1.0, max_iters=3, x0=np.zeros((1, 64, 64)))
+    assert trace.final.shape == (1, 64, 64)
+
+
 def _toy_denoiser(seed=0, patch=64):
     # alpha < eps makes the observation-sensitivity certificate itself < 1,
     # so the full input-output map of the denoiser is provably contractive --

@@ -11,13 +11,13 @@ from scipy import fft
 import ctrx.trainer
 from ctrx.errors import DimensionError, TrainingFailureError, ValidationError
 from ctrx.io import Rng, add_awgn
-from ctrx.layers import (contraction_certificate, forward_steps, init_network,
-                         network_forward, run_network)
+from ctrx.layers import (_kernel_gradient, contraction_certificate, forward_steps,
+                         init_network, network_forward, run_network)
 from ctrx.metrics import psnr
 from ctrx.wavelets import POLYPHASE, get_family
-from ctrx.trainer import (EpochStats, GradCheckReport, TrainConfig,
-                          _kernel_gradient, backward, curve_to_csv, grad_check,
-                          load_patch_dataset, loss_mse, synth_patches, train)
+from ctrx.trainer import (EpochStats, GradCheckReport, TrainConfig, backward,
+                          curve_to_csv, grad_check, load_patch_dataset, loss_mse,
+                          synth_patches, train)
 
 
 def test_loss_mse_basics():
@@ -96,6 +96,17 @@ def test_grad_check_small_net():
     report = grad_check(net, y, target, step=1e-6, tol=1e-4)
     assert report.checked > 0
     assert report.max_rel_error <= 1e-4
+
+
+def test_grad_check_takes_array_likes_as_backward_does():
+    # nested lists, and a single image promoted to a batch of one
+    net = init_network(depth=1, patch=8, channels=1, seed=4)
+    rng = np.random.default_rng(5)
+    y, target = rng.random((1, 8, 8)), rng.random((1, 8, 8))
+    want = grad_check(net, y[None], target[None], step=1e-6, tol=1e-4)
+    for args in ((y.tolist(), target.tolist()), ([y.tolist()], [target.tolist()])):
+        assert backward(net, *args)[0] == backward(net, y, target)[0]
+        assert grad_check(net, *args, step=1e-6, tol=1e-4) == want
 
 
 def test_grad_check_ll_only_path():
